@@ -2,21 +2,16 @@
  * @file
  * Performance harness for the experiment engine itself.
  *
- * Times the full ten-benchmark suite under three engines --
- *
- *   1. two-pass serial:   the seed engine (two VM executions per
- *                         workload, benchmarks strictly serial);
- *   2. replay serial:     record-once/replay-many, one job;
- *   3. replay parallel:   record-once/replay-many fanned across
- *                         BRANCHLAB_JOBS worker threads --
- *
- * then splits the replay engine into its two component phases (the VM
+ * Times the full ten-benchmark suite under the record-once/
+ * replay-many engine, serially and fanned across BRANCHLAB_JOBS worker
+ * threads, then splits it into its two component phases (the VM
  * record pass and the predictor replay pass, timed separately) and
  * times a warm-cache suite run against a throwaway persistent trace
  * cache, where the record pass is skipped entirely.
  *
- * Verifies that every engine and the warm-cache run produce
- * bit-identical scheme accuracies, miss ratios, and trace statistics,
+ * Verifies that the parallel and warm-cache runs reproduce the serial
+ * run's scheme accuracies, miss ratios, and trace statistics bit for
+ * bit (the two-pass seed engine is the tests' oracle, not timed here),
  * micro-benchmarks the linear-scan vs hash-indexed AssociativeBuffer
  * lookup on the paper's 256-way fully-assoc geometry, measures the
  * telemetry layer's replay overhead (collection enabled vs compiled in
@@ -404,8 +399,7 @@ benchBufferLookup()
 
 void
 writeJson(const std::string &path, unsigned jobs, unsigned runs_override,
-          unsigned repeat, const TimedRun &two_pass,
-          const TimedRun &replay_serial, const TimedRun &replay_parallel,
+          unsigned repeat, const TimedRun &replay_serial, const TimedRun &replay_parallel,
           double record_s, double replay_only_s,
           double replay_fallback_s, double warm_cache_s,
           double warm_decode_s, double replay_enabled_s,
@@ -419,7 +413,7 @@ writeJson(const std::string &path, unsigned jobs, unsigned runs_override,
     os.precision(17);
     os << "{\n"
        << "  \"bench\": \"perf_engine\",\n"
-       << "  \"benchmarks\": " << two_pass.results.size() << ",\n"
+       << "  \"benchmarks\": " << replay_serial.results.size() << ",\n"
        << "  \"runs_override\": " << runs_override << ",\n"
        << "  \"repeat\": " << repeat << ",\n"
        << "  \"jobs_parallel\": " << jobs << ",\n"
@@ -427,7 +421,6 @@ writeJson(const std::string &path, unsigned jobs, unsigned runs_override,
        << "  \"hardware_concurrency\": "
        << std::thread::hardware_concurrency() << ",\n"
        << "  \"phases\": {\n"
-       << "    \"two_pass_serial_s\": " << two_pass.seconds << ",\n"
        << "    \"replay_serial_s\": " << replay_serial.seconds << ",\n"
        << "    \"replay_parallel_s\": " << replay_parallel.seconds
        << ",\n"
@@ -438,10 +431,6 @@ writeJson(const std::string &path, unsigned jobs, unsigned runs_override,
        << "    \"warm_cache_s\": " << warm_cache_s << ",\n"
        << "    \"warm_decode_s\": " << warm_decode_s << "\n  },\n"
        << "  \"speedup\": {\n"
-       << "    \"replay_serial_vs_two_pass\": "
-       << two_pass.seconds / replay_serial.seconds << ",\n"
-       << "    \"replay_parallel_vs_two_pass\": "
-       << two_pass.seconds / replay_parallel.seconds << ",\n"
        << "    \"kernel_vs_fallback\": "
        << replay_fallback_s / replay_only_s << ",\n"
        // warm_cache_vs_record compares like with like: record_s
@@ -483,12 +472,13 @@ writeJson(const std::string &path, unsigned jobs, unsigned runs_override,
        << "    \"indexed_speedup\": " << lookup.speedup << "\n  },\n"
        << "  \"mismatches\": " << mismatches << ",\n"
        << "  \"accuracy\": {\n";
-    for (std::size_t i = 0; i < two_pass.results.size(); ++i) {
-        const core::BenchmarkResult &r = two_pass.results[i];
+    for (std::size_t i = 0; i < replay_serial.results.size(); ++i) {
+        const core::BenchmarkResult &r = replay_serial.results[i];
         os << "    \"" << r.name << "\": {\"sbtb\": " << r.sbtb.accuracy
            << ", \"cbtb\": " << r.cbtb.accuracy
            << ", \"fs\": " << r.fs.accuracy << "}"
-           << (i + 1 < two_pass.results.size() ? "," : "") << "\n";
+           << (i + 1 < replay_serial.results.size() ? "," : "")
+           << "\n";
     }
     os << "  }\n}\n";
 
@@ -555,20 +545,10 @@ main(int argc, char **argv)
     core::ExperimentConfig config = bench::paperConfig();
     config.runsOverride = runs_override;
 
-    core::ExperimentConfig two_pass_config = config;
-    two_pass_config.engine = core::EngineMode::TwoPass;
-    two_pass_config.jobs = 1;
-    // The seed engine also scanned the BTB ways linearly; pin that
-    // here so the baseline is the true seed cost. Equivalence still
-    // holds: both lookup strategies implement identical semantics.
-    two_pass_config.btb.lookup = predict::LookupStrategy::Linear;
-
     core::ExperimentConfig replay_serial_config = config;
-    replay_serial_config.engine = core::EngineMode::Replay;
     replay_serial_config.jobs = 1;
 
     core::ExperimentConfig replay_parallel_config = config;
-    replay_parallel_config.engine = core::EngineMode::Replay;
     replay_parallel_config.jobs = jobs; // 0 = BRANCHLAB_JOBS / hardware
     const unsigned parallel_jobs = resolveJobs(jobs);
 
@@ -577,10 +557,7 @@ main(int argc, char **argv)
     const auto sample_rss = [&rss](const char *phase) {
         rss.emplace_back(phase, bench::peakRssBytes());
     };
-    std::cerr << "full suite, three engines:\n";
-    const TimedRun two_pass = timeSuite("two-pass serial (seed engine)",
-                                        two_pass_config, repeat);
-    sample_rss("two_pass_serial");
+    std::cerr << "full suite, serial and parallel:\n";
     const TimedRun replay_serial =
         timeSuite("replay serial", replay_serial_config, repeat);
     sample_rss("replay_serial");
@@ -590,11 +567,9 @@ main(int argc, char **argv)
     sample_rss("replay_parallel");
     const std::uint64_t rss_engines = rss.back().second;
 
-    std::cerr << "verifying engine equivalence...\n";
+    std::cerr << "verifying serial == parallel...\n";
     std::size_t mismatches =
-        countMismatches(two_pass.results, replay_serial.results);
-    mismatches +=
-        countMismatches(two_pass.results, replay_parallel.results);
+        countMismatches(replay_serial.results, replay_parallel.results);
 
     std::cerr << "replay engine phase split:\n";
     std::vector<core::RecordedWorkload> recorded;
@@ -664,7 +639,8 @@ main(int argc, char **argv)
                   << cache_counters.stores << " stores)\n";
         ++mismatches;
     }
-    mismatches += countMismatches(two_pass.results, warm_cache.results);
+    mismatches +=
+        countMismatches(replay_serial.results, warm_cache.results);
     std::error_code cleanup_ec;
     std::filesystem::remove_all(cache_dir, cleanup_ec);
 
@@ -690,32 +666,27 @@ main(int argc, char **argv)
     std::cerr << "BTB lookup micro-bench (256-entry fully-assoc):\n";
     const LookupBench lookup = benchBufferLookup();
 
-    TextTable table({"Engine", "seconds", "speedup"});
-    table.addRow({"two-pass serial (seed)",
-                  formatFixed(two_pass.seconds, 3), "1.00x"});
-    table.addRow(
-        {"replay serial", formatFixed(replay_serial.seconds, 3),
-         formatFixed(two_pass.seconds / replay_serial.seconds, 2) +
-             "x"});
+    // Speedups are relative to the serial replay suite.
+    const auto speedup = [&](double seconds) {
+        return formatFixed(replay_serial.seconds / seconds, 2) + "x";
+    };
+    TextTable table({"Phase", "seconds", "speedup"});
+    table.addRow({"replay serial", formatFixed(replay_serial.seconds, 3),
+                  "1.00x"});
     table.addRow(
         {"replay parallel (" + std::to_string(parallel_jobs) + " jobs)",
          formatFixed(replay_parallel.seconds, 3),
-         formatFixed(two_pass.seconds / replay_parallel.seconds, 2) +
-             "x"});
+         speedup(replay_parallel.seconds)});
     table.addRow({"record phase (VM)", formatFixed(record_s, 3),
-                  formatFixed(two_pass.seconds / record_s, 2) + "x"});
+                  speedup(record_s)});
     table.addRow({"replay phase (kernels)",
-                  formatFixed(replay_only_s, 3),
-                  formatFixed(two_pass.seconds / replay_only_s, 2) +
-                      "x"});
+                  formatFixed(replay_only_s, 3), speedup(replay_only_s)});
     table.addRow({"replay phase (virtual fallback)",
                   formatFixed(replay_fallback_s, 3),
-                  formatFixed(two_pass.seconds / replay_fallback_s, 2) +
-                      "x"});
+                  speedup(replay_fallback_s)});
     table.addRow({"warm-cache serial",
                   formatFixed(warm_cache.seconds, 3),
-                  formatFixed(two_pass.seconds / warm_cache.seconds, 2) +
-                      "x"});
+                  speedup(warm_cache.seconds)});
     table.render(std::cout);
     std::cout << "\nWarm cache vs record pass: "
               << formatFixed(record_s / warm_decode_s, 2)
@@ -732,8 +703,8 @@ main(int argc, char **argv)
               << formatFixed(telemetry_overhead_pct, 2) << "% (on "
               << formatFixed(replay_enabled_s, 3) << " s, off "
               << formatFixed(replay_disabled_s, 3) << " s)\n"
-              << "Engine equivalence: "
-              << (mismatches == 0 ? "bit-identical across engines"
+              << "Result equivalence: "
+              << (mismatches == 0 ? "bit-identical across runs"
                                   : std::to_string(mismatches) +
                                         " MISMATCHES")
               << "\n";
@@ -742,7 +713,7 @@ main(int argc, char **argv)
               << formatFixed(replay_fallback_s / replay_only_s, 2)
               << "x\n";
 
-    writeJson(out_path, parallel_jobs, runs_override, repeat, two_pass,
+    writeJson(out_path, parallel_jobs, runs_override, repeat,
               replay_serial, replay_parallel, record_s, replay_only_s,
               replay_fallback_s, warm_cache.seconds, warm_decode_s,
               replay_enabled_s, replay_disabled_s,

@@ -82,7 +82,7 @@ benchSweep(unsigned runs, unsigned jobs)
     return config;
 }
 
-/** Total bytes of journal files (segments + legacy entries). */
+/** Total bytes of the journal's sealed segments. */
 std::uint64_t
 journalBytes(const std::string &dir)
 {
@@ -93,7 +93,8 @@ journalBytes(const std::string &dir)
          end;
          !ec && it != end; it.increment(ec)) {
         std::error_code file_ec;
-        if (it->is_regular_file(file_ec) && !file_ec)
+        if (it->path().extension() == ".blsg" &&
+            it->is_regular_file(file_ec) && !file_ec)
             total += it->file_size(file_ec);
     }
     return total;

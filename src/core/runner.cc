@@ -8,10 +8,9 @@
 #include "ir/verifier.hh"
 #include "obs/metrics.hh"
 #include "obs/span.hh"
-#include "predict/flushing.hh"
 #include "predict/profile_predictor.hh"
-#include "predict/static_predictors.hh"
 #include "profile/profile.hh"
+#include "support/durable_dir.hh"
 #include "support/logging.hh"
 #include "support/thread_pool.hh"
 #include "trace/cache.hh"
@@ -21,17 +20,6 @@
 namespace branchlab::core
 {
 
-namespace
-{
-
-/** Recorder pre-reservation: large benchmarks emit a few million
- *  branch events, so skipping the early regrowth copies is cheap
- *  insurance (a reservation this size is ~50 MB, returned as soon as
- *  the benchmark's replays finish). */
-constexpr std::size_t kRecorderReserveEvents = 1u << 20;
-
-/** Execute every input of a suite, feeding one sink. The program is
- *  predecoded once and shared by every per-input machine. */
 void
 runSuite(const ir::Program &program, const ir::Layout &layout,
          const std::vector<workloads::WorkloadInput> &inputs,
@@ -59,7 +47,6 @@ runSuite(const ir::Program &program, const ir::Layout &layout,
     }
 }
 
-/** The deterministic per-benchmark input suite. */
 std::vector<workloads::WorkloadInput>
 makeInputSuite(const workloads::Workload &workload,
                const ExperimentConfig &config, unsigned runs)
@@ -67,6 +54,15 @@ makeInputSuite(const workloads::Workload &workload,
     Rng rng(config.seed ^ hashString(workload.name()));
     return workload.makeInputs(rng, runs);
 }
+
+namespace
+{
+
+/** Recorder pre-reservation: large benchmarks emit a few million
+ *  branch events, so skipping the early regrowth copies is cheap
+ *  insurance (a reservation this size is ~50 MB, returned as soon as
+ *  the benchmark's replays finish). */
+constexpr std::size_t kRecorderReserveEvents = 1u << 20;
 
 unsigned
 runsFor(const workloads::Workload &workload,
@@ -177,15 +173,6 @@ applyCodeSizeTransform(const profile::ProgramProfile &profile,
 BenchmarkResult
 ExperimentRunner::runBenchmark(const workloads::Workload &workload) const
 {
-    return config_.engine == EngineMode::Replay
-               ? runBenchmarkReplay(workload)
-               : runBenchmarkTwoPass(workload);
-}
-
-BenchmarkResult
-ExperimentRunner::runBenchmarkReplay(
-    const workloads::Workload &workload) const
-{
     BenchmarkResult result;
     result.name = workload.name();
 
@@ -271,89 +258,6 @@ ExperimentRunner::runBenchmarkReplay(
     return result;
 }
 
-BenchmarkResult
-ExperimentRunner::runBenchmarkTwoPass(
-    const workloads::Workload &workload) const
-{
-    BenchmarkResult result;
-    result.name = workload.name();
-
-    const ir::Program program = workload.buildProgram();
-    ir::verifyProgramOrDie(program);
-    const ir::Layout layout(program);
-    result.staticSize = program.staticSize();
-
-    const unsigned runs = config_.runsOverride != 0
-                              ? config_.runsOverride
-                              : workload.defaultRuns();
-    result.runs = runs;
-    const std::vector<workloads::WorkloadInput> inputs =
-        makeInputSuite(workload, config_, runs);
-
-    // ---- Pass 1: hardware schemes, statics, profile, statistics. ----
-    predict::SimpleBtb sbtb(config_.btb);
-    predict::CounterBtb cbtb(config_.btb, config_.counter);
-    predict::PredictionDriver sbtb_driver(sbtb);
-    predict::PredictionDriver cbtb_driver(cbtb);
-
-    predict::AlwaysTaken always_taken;
-    predict::AlwaysNotTaken always_not_taken;
-    predict::BackwardTaken btfnt;
-    predict::OpcodeBias opcode_bias;
-    std::vector<predict::PredictionDriver> static_drivers;
-    static_drivers.reserve(4);
-    if (config_.runStaticSchemes) {
-        static_drivers.emplace_back(always_taken);
-        static_drivers.emplace_back(always_not_taken);
-        static_drivers.emplace_back(btfnt);
-        static_drivers.emplace_back(opcode_bias);
-    }
-
-    profile::ProgramProfile profile(program, layout);
-
-    trace::FanoutSink fanout;
-    fanout.addSink(&sbtb_driver);
-    fanout.addSink(&cbtb_driver);
-    for (predict::PredictionDriver &driver : static_drivers)
-        fanout.addSink(&driver);
-    fanout.addSink(&profile);
-    fanout.addSink(&result.stats);
-
-    for (unsigned r = 0; r < runs; ++r)
-        profile.noteRun();
-    runSuite(program, layout, inputs, fanout, &result.stats,
-             config_.maxInstructionsPerRun);
-
-    result.sbtb = SchemeResult{"SBTB",
-                               sbtb_driver.stats().accuracy.ratio(),
-                               sbtb.missRatio(), true};
-    result.cbtb = SchemeResult{"CBTB",
-                               cbtb_driver.stats().accuracy.ratio(),
-                               cbtb.missRatio(), true};
-    if (config_.runStaticSchemes) {
-        const char *names[] = {"always-taken", "always-not-taken",
-                               "btfnt", "opcode-bias"};
-        for (std::size_t i = 0; i < static_drivers.size(); ++i) {
-            result.staticSchemes.push_back(SchemeResult{
-                names[i], static_drivers[i].stats().accuracy.ratio(),
-                0.0, false});
-        }
-    }
-
-    // ---- Pass 2: the Forward Semantic over the same runs. ----
-    predict::ProfilePredictor fs(profile.buildLikelyMap());
-    predict::PredictionDriver fs_driver(fs);
-    runSuite(program, layout, inputs, fs_driver, nullptr,
-             config_.maxInstructionsPerRun);
-    result.fs = SchemeResult{"FS", fs_driver.stats().accuracy.ratio(),
-                             0.0, false};
-
-    if (config_.runCodeSize)
-        applyCodeSizeTransform(profile, config_, result);
-
-    return result;
-}
-
 std::uint64_t
 workloadContentHash(const workloads::Workload &workload,
                     const ExperimentConfig &config)
@@ -385,16 +289,15 @@ recordWorkload(const workloads::Workload &workload,
 
     const trace::TraceCache cache(
         trace::TraceCache::resolveDir(config.traceCacheDir),
-        trace::TraceCache::resolveMaxBytes(config.traceCacheMaxBytes));
+        resolveByteCap(config.traceCacheMaxBytes,
+                       trace::kTraceCacheMaxBytesEnv));
     recorded.contentHash = computeContentHash(
         *recorded.program, *recorded.layout, inputs, config, runs);
 
     if (cache.enabled()) {
         trace::CachedWorkload cached;
         if (cache.load(recorded.name, recorded.contentHash, cached)) {
-            // v2 hits stay mmap'd (stream empty); legacy v1 hits
-            // arrive as an owning stream.
-            recorded.stream = std::move(cached.stream);
+            // Hits stay mmap'd; `stream` stays empty.
             recorded.mapped = std::move(cached.mapped);
             recorded.stats = trace::TraceStats::fromCounters(cached.stats);
             recorded.likelyMap = cachedToLikely(cached.likely);

@@ -10,16 +10,16 @@
  * then measured over the same runs (the paper's profile-equals-
  * measurement setup).
  *
- * The default engine records the branch stream in a single VM pass
- * and replays the in-memory stream against every scheme
+ * The engine records the branch stream in a single VM pass and
+ * replays the in-memory stream against every scheme
  * (record-once/replay-many). Because the inputs are deterministic,
  * this is observationally equivalent to the seed engine's two full VM
  * executions -- the replayed stream is bit-identical to what a second
- * pass would emit -- at roughly half the wall-clock cost. The legacy
- * engine is kept behind EngineMode::TwoPass for equivalence tests and
- * the perf harness. runAll() additionally fans workload-level jobs
- * across a thread pool; every benchmark derives its own RNG
- * sub-stream, so results are bit-identical for any job count.
+ * pass would emit -- at roughly half the wall-clock cost; the tests
+ * keep the two-pass engine as their oracle (tests/two_pass_oracle.hh).
+ * runAll() additionally fans workload-level jobs across a thread
+ * pool; every benchmark derives its own RNG sub-stream, so results
+ * are bit-identical for any job count.
  */
 
 #ifndef BRANCHLAB_CORE_RUNNER_HH
@@ -47,8 +47,8 @@ namespace branchlab::core
  * their addresses.
  *
  * The stream arrives in one of two forms: an owning SoaTrace in
- * `stream` (cold records, legacy cache entries), or a zero-copy
- * mmap'd cache entry in `mapped` with `stream` empty (v2 warm hits).
+ * `stream` (cold records), or a zero-copy mmap'd cache entry in
+ * `mapped` with `stream` empty (warm hits).
  * Replay consumers should use traceView(), which papers over the
  * difference; whole-stream consumers can force an owning copy with
  * materializedStream().
@@ -61,7 +61,7 @@ struct RecordedWorkload
     /** The owning stream in the engine's native SoA columns
      *  (trace/soa.hh). Empty when `mapped` is set. */
     trace::SoaTrace stream;
-    /** The zero-copy mapped cache entry (v2 warm hits), else null. */
+    /** The zero-copy mapped cache entry (warm hits), else null. */
     std::shared_ptr<const trace::MappedEntry> mapped;
     trace::TraceStats stats;
     /** The Forward Semantic's compiled-in predictions, profiled over
@@ -124,6 +124,19 @@ struct RecordedWorkload
         return out;
     }
 };
+
+/** The deterministic input suite of @p runs runs for @p workload. */
+std::vector<workloads::WorkloadInput>
+makeInputSuite(const workloads::Workload &workload,
+               const ExperimentConfig &config, unsigned runs);
+
+/** Execute every input of a suite on the VM, feeding one sink (and
+ *  adding each run's instruction count to @p stats when non-null).
+ *  The program is predecoded once and shared by every run. */
+void runSuite(const ir::Program &program, const ir::Layout &layout,
+              const std::vector<workloads::WorkloadInput> &inputs,
+              trace::TraceSink &sink, trace::TraceStats *stats,
+              std::uint64_t max_instructions);
 
 /**
  * Content hash of everything that determines a workload's recorded
@@ -236,11 +249,6 @@ class ExperimentRunner
     const ExperimentConfig &config() const { return config_; }
 
   private:
-    BenchmarkResult
-    runBenchmarkReplay(const workloads::Workload &workload) const;
-    BenchmarkResult
-    runBenchmarkTwoPass(const workloads::Workload &workload) const;
-
     ExperimentConfig config_;
 };
 

@@ -472,8 +472,8 @@ runSweep(const SweepConfig &config)
     // journalled point from the index (grid order), then evaluate
     // only the remainder. ----
     SweepJournal journal(config.journalDir,
-                         SweepJournal::resolveMaxBytes(
-                             config.journalMaxBytes));
+                         resolveByteCap(config.journalMaxBytes,
+                                        kJournalMaxBytesEnv));
     journal.open();
     std::vector<std::uint64_t> stream_hashes;
     stream_hashes.reserve(prepared.size());

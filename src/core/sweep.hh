@@ -23,10 +23,10 @@
  *
  * Resume: when SweepConfig::journalDir is set, every completed point
  * is persisted through the SweepJournal (core/sweep_journal.hh):
- * checksummed, feature-bit-versioned segments sealed via the trace
- * cache's fsync+rename discipline and mmap'd back on resume, keyed by
- * a content hash of the point configuration AND the recorded streams
- * it was measured over. An interrupted sweep rerun with the same
+ * checksummed, feature-bit-versioned segments published through the
+ * durable-directory layer (support/durable_dir.hh) and mmap'd back on
+ * resume, keyed by a content hash of the point configuration AND the
+ * recorded streams it was measured over. An interrupted sweep rerun with the same
  * journal reloads completed points bit-identically and evaluates only
  * the remainder; a changed seed, run count, workload set, or point
  * config changes the key, so a stale entry is never served.

@@ -2,20 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
-#include <bit>
-#include <chrono>
-#include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <iomanip>
 #include <sstream>
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include "obs/metrics.hh"
+#include "support/le_codec.hh"
 #include "support/logging.hh"
 #include "trace/format.hh"
 #include "trace/mmap.hh"
@@ -27,7 +20,6 @@ namespace
 {
 
 constexpr char kSegmentMagic[4] = {'B', 'L', 'S', 'G'};
-constexpr char kLegacyMagic[4] = {'B', 'L', 'S', 'J'};
 
 /** Seal thresholds: large enough that a multi-thousand-point sweep
  *  produces a handful of segments, small enough that a long-running
@@ -38,16 +30,6 @@ constexpr std::size_t kSealByteThreshold = std::size_t{1} << 20;
 /** A record can cover at most this many workloads; anything larger in
  *  a segment is framing damage, not data. */
 constexpr std::uint32_t kMaxCellsPerRecord = 4096;
-
-/** Temp files older than this are orphans of a killed run. Fifteen
- *  minutes is far beyond any single store, and young temps may belong
- *  to a live concurrent sweep sharing the journal. */
-constexpr std::chrono::minutes kTempGracePeriod{15};
-
-// Same role as the trace cache's sequence: the temp suffix is
-// <pid>-<sequence>, so no two in-flight writers -- threads or
-// processes -- ever share a temp file.
-std::atomic<std::uint64_t> g_tmpSequence{0};
 
 // Fsync failure is environmental (a filesystem without fsync) and
 // would otherwise warn once per sealed segment; latch it.
@@ -63,14 +45,8 @@ struct JournalTelemetry
         obs::Registry::global().counter("sweep.journal.corrupt");
     obs::Counter &foreign =
         obs::Registry::global().counter("sweep.journal.foreign");
-    obs::Counter &evictions =
-        obs::Registry::global().counter("sweep.journal.evictions");
     obs::Counter &bytesMapped =
         obs::Registry::global().counter("sweep.journal.bytes_mapped");
-    obs::Counter &bytesEvicted =
-        obs::Registry::global().counter("sweep.journal.bytes_evicted");
-    obs::Counter &tmpReclaimed =
-        obs::Registry::global().counter("sweep.journal.tmp_reclaimed");
 };
 
 JournalTelemetry &
@@ -81,203 +57,50 @@ journalTelemetry()
 }
 
 void
-putU32(std::string &out, std::uint32_t value)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>((value >> (8 * i)) & 0xff));
-}
-
-void
-putU64(std::string &out, std::uint64_t value)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>((value >> (8 * i)) & 0xff));
-}
-
-void
-putF64(std::string &out, double value)
-{
-    putU64(out, std::bit_cast<std::uint64_t>(value));
-}
-
-bool
-getU64(std::string_view in, std::size_t &pos, std::uint64_t &value)
-{
-    if (pos + 8 > in.size())
-        return false;
-    value = 0;
-    for (int i = 0; i < 8; ++i)
-        value |= static_cast<std::uint64_t>(
-                     static_cast<unsigned char>(in[pos + i]))
-                 << (8 * i);
-    pos += 8;
-    return true;
-}
-
-bool
-getF64(std::string_view in, std::size_t &pos, double &value)
-{
-    std::uint64_t bits = 0;
-    if (!getU64(in, pos, bits))
-        return false;
-    value = std::bit_cast<double>(bits);
-    return true;
-}
-
-std::uint64_t
-loadU64Le(const std::uint8_t *p)
-{
-    std::uint64_t value = 0;
-    for (int i = 0; i < 8; ++i)
-        value |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    return value;
-}
-
-std::uint32_t
-loadU32Le(const std::uint8_t *p)
-{
-    std::uint32_t value = 0;
-    for (int i = 0; i < 4; ++i)
-        value |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    return value;
-}
-
-double
-loadF64Le(const std::uint8_t *p)
-{
-    return std::bit_cast<double>(loadU64Le(p));
-}
-
-std::string
-hash16(std::uint64_t value)
-{
-    std::ostringstream os;
-    os << std::hex << std::setw(16) << std::setfill('0') << value;
-    return os.str();
-}
-
-/** The v1 format had no checksum, so a loaded cell is only trusted
- *  after a domain check: every field is a finite ratio-like quantity,
- *  so a flipped sign or exponent bit lands far outside the domain. */
-bool
-cellInDomain(const SweepCell &cell)
-{
-    const auto ratio = [](double v) {
-        return std::isfinite(v) && v >= 0.0 && v <= 1.0;
-    };
-    return ratio(cell.sbtbAccuracy) && ratio(cell.sbtbMissRatio) &&
-           ratio(cell.cbtbAccuracy) && ratio(cell.cbtbMissRatio) &&
-           ratio(cell.fsAccuracy) &&
-           std::isfinite(cell.codeIncrease) && cell.codeIncrease >= 0.0;
-}
-
-void
 appendCell(std::string &out, const SweepCell &cell)
 {
-    putF64(out, cell.sbtbAccuracy);
-    putF64(out, cell.sbtbMissRatio);
-    putF64(out, cell.cbtbAccuracy);
-    putF64(out, cell.cbtbMissRatio);
-    putF64(out, cell.fsAccuracy);
-    putF64(out, cell.codeIncrease);
+    appendLeF64(out, cell.sbtbAccuracy);
+    appendLeF64(out, cell.sbtbMissRatio);
+    appendLeF64(out, cell.cbtbAccuracy);
+    appendLeF64(out, cell.cbtbMissRatio);
+    appendLeF64(out, cell.fsAccuracy);
+    appendLeF64(out, cell.codeIncrease);
 }
 
 SweepCell
 decodeCell(const std::uint8_t *p)
 {
     SweepCell cell;
-    cell.sbtbAccuracy = loadF64Le(p);
-    cell.sbtbMissRatio = loadF64Le(p + 8);
-    cell.cbtbAccuracy = loadF64Le(p + 16);
-    cell.cbtbMissRatio = loadF64Le(p + 24);
-    cell.fsAccuracy = loadF64Le(p + 32);
-    cell.codeIncrease = loadF64Le(p + 40);
+    cell.sbtbAccuracy = loadLeF64(p);
+    cell.sbtbMissRatio = loadLeF64(p + 8);
+    cell.cbtbAccuracy = loadLeF64(p + 16);
+    cell.cbtbMissRatio = loadLeF64(p + 24);
+    cell.fsAccuracy = loadLeF64(p + 32);
+    cell.codeIncrease = loadLeF64(p + 40);
     return cell;
 }
 
-/** Durability helper, the trace cache's: open + fsync + close. */
-bool
-syncFd(const std::string &path)
+/** Warn once per process that this filesystem cannot fsync. */
+void
+noteUnsynced(const std::string &path)
 {
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0)
-        return false;
-    const bool ok = ::fsync(fd) == 0;
-    ::close(fd);
-    return ok;
-}
-
-/** Fsync with the process-wide warn-once latch. @return true when
- *  the caller may publish (sync succeeded, or the environment cannot
- *  sync and we already said so). */
-bool
-syncForPublish(const std::string &path)
-{
-    if (syncFd(path))
-        return true;
     if (!g_fsyncWarned.exchange(true)) {
         blab_warn("cannot fsync sweep journal file '", path,
                   "'; journal durability is degraded on this "
                   "filesystem (further fsync failures are silent)");
     }
-    return false;
 }
 
-std::string
-tempName(const std::string &path)
+/** Records in the segment at @p path, peeked from its header: the
+ *  byte cap's tie-break weight. Damage only skews the tie-break. */
+std::uint64_t
+segmentRecords(const std::filesystem::path &path)
 {
-    return path + ".tmp-" +
-           std::to_string(static_cast<long>(::getpid())) + "-" +
-           std::to_string(g_tmpSequence.fetch_add(
-               1, std::memory_order_relaxed));
-}
-
-/** Write + fsync + rename + directory fsync. @return true when the
- *  complete file is visible under @p path. */
-bool
-publishAtomically(const std::string &path, const std::string &data,
-                  const char *what)
-{
-    const std::filesystem::path parent =
-        std::filesystem::path(path).parent_path();
-    std::error_code ec;
-    std::filesystem::create_directories(parent, ec);
-    if (ec) {
-        blab_warn("cannot create sweep journal directory '",
-                  parent.string(), "': ", ec.message());
-        return false;
-    }
-    const std::string tmp = tempName(path);
-    {
-        std::ofstream file(tmp, std::ios::binary | std::ios::trunc);
-        if (!file) {
-            blab_warn("cannot write ", what, " '", tmp, "'");
-            return false;
-        }
-        file.write(data.data(),
-                   static_cast<std::streamsize>(data.size()));
-        if (!file) {
-            blab_warn(what, " write failed for '", tmp, "'");
-            file.close();
-            std::filesystem::remove(tmp, ec);
-            return false;
-        }
-    }
-    // Durability before visibility: the bytes reach the disk before
-    // the rename can publish the name, and the directory entry is
-    // synced after. A crash leaves either nothing or the complete
-    // file. On a filesystem that cannot fsync we still publish (the
-    // record checksums catch a torn segment on the next open).
-    syncForPublish(tmp);
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) {
-        blab_warn(what, " rename failed for '", path, "': ",
-                  ec.message());
-        std::filesystem::remove(tmp, ec);
-        return false;
-    }
-    syncForPublish(parent.string());
-    return true;
+    std::ifstream file(path, std::ios::binary);
+    std::uint8_t head[28] = {};
+    if (!file.read(reinterpret_cast<char *>(head), sizeof(head)))
+        return 1;
+    return std::max<std::uint64_t>(1, loadLe32(head + 24));
 }
 
 } // namespace
@@ -288,124 +111,16 @@ struct SweepJournal::Segment
     std::unique_ptr<trace::MappedFile> file;
 };
 
-std::string
-encodeJournalEntryV1(std::uint64_t key,
-                     const std::vector<SweepCell> &cells)
-{
-    std::string data(kLegacyMagic, 4);
-    putU64(data, kJournalSchemaVersion);
-    putU64(data, key);
-    putU64(data, cells.size());
-    for (const SweepCell &cell : cells)
-        appendCell(data, cell);
-    return data;
-}
-
-JournalFailure
-decodeJournalEntryV1(std::string_view data, std::uint64_t key,
-                     std::vector<SweepCell> &cells,
-                     std::string &error)
-{
-    if (data.size() < 4 ||
-        data.substr(0, 4) != std::string_view(kLegacyMagic, 4)) {
-        error = "bad magic";
-        return JournalFailure::Corrupt;
-    }
-    std::size_t pos = 4;
-    std::uint64_t version = 0;
-    std::uint64_t stored_key = 0;
-    std::uint64_t count = 0;
-    if (!getU64(data, pos, version)) {
-        error = "truncated header";
-        return JournalFailure::Corrupt;
-    }
-    if (version != kJournalSchemaVersion) {
-        // Another schema, not damage: the writer was simply a
-        // different build. Quietly re-evaluate.
-        error = "schema version " + std::to_string(version) +
-                " (this reader speaks " +
-                std::to_string(kJournalSchemaVersion) + ")";
-        return JournalFailure::Foreign;
-    }
-    if (!getU64(data, pos, stored_key) || !getU64(data, pos, count)) {
-        error = "truncated header";
-        return JournalFailure::Corrupt;
-    }
-    if (stored_key != key) {
-        error = "mismatched key";
-        return JournalFailure::Corrupt;
-    }
-    if (count > kMaxCellsPerRecord) {
-        error = "implausible cell count";
-        return JournalFailure::Corrupt;
-    }
-    std::vector<SweepCell> loaded(static_cast<std::size_t>(count));
-    for (SweepCell &cell : loaded) {
-        if (!getF64(data, pos, cell.sbtbAccuracy) ||
-            !getF64(data, pos, cell.sbtbMissRatio) ||
-            !getF64(data, pos, cell.cbtbAccuracy) ||
-            !getF64(data, pos, cell.cbtbMissRatio) ||
-            !getF64(data, pos, cell.fsAccuracy) ||
-            !getF64(data, pos, cell.codeIncrease)) {
-            error = "truncated cells";
-            return JournalFailure::Corrupt;
-        }
-        // v1 carries no checksum; the domain check is the backported
-        // integrity gate for legacy entries.
-        if (!cellInDomain(cell)) {
-            error = "cell outside its domain (bit flip?)";
-            return JournalFailure::Corrupt;
-        }
-    }
-    if (pos != data.size()) {
-        error = "trailing bytes";
-        return JournalFailure::Corrupt;
-    }
-    cells = std::move(loaded);
-    return JournalFailure::None;
-}
-
 SweepJournal::SweepJournal() = default;
 
 SweepJournal::SweepJournal(std::string dir, std::uint64_t maxBytes)
-    : dir_(std::move(dir)), maxBytes_(maxBytes)
-{
-    if (const char *env =
-            std::getenv("BRANCHLAB_SWEEP_JOURNAL_FORMAT")) {
-        writeLegacy_ = std::string_view(env) == "v1";
-    }
-}
+    : store_(std::move(dir), "sweep.journal", ".blsg"),
+      maxBytes_(maxBytes)
+{}
 
 SweepJournal::~SweepJournal()
 {
     flush();
-}
-
-std::uint64_t
-SweepJournal::resolveMaxBytes(std::uint64_t configured)
-{
-    if (configured != 0)
-        return configured;
-    if (const char *env =
-            std::getenv("BRANCHLAB_SWEEP_JOURNAL_MAX_BYTES")) {
-        char *end = nullptr;
-        const unsigned long long parsed = std::strtoull(env, &end, 10);
-        if (end != env && *end == '\0')
-            return parsed;
-        blab_warn("ignoring unparsable "
-                  "BRANCHLAB_SWEEP_JOURNAL_MAX_BYTES='",
-                  env, "'");
-    }
-    return 0;
-}
-
-std::string
-SweepJournal::legacyEntryPath(std::uint64_t key) const
-{
-    blab_assert(enabled(), "journal is disabled");
-    return (std::filesystem::path(dir_) /
-            ("point-" + hash16(key) + ".blsj"))
-        .string();
 }
 
 std::size_t
@@ -438,72 +153,18 @@ SweepJournal::ensureOpenLocked()
         return;
     opened_ = true;
     std::error_code ec;
-    if (!std::filesystem::exists(dir_, ec))
+    if (!std::filesystem::exists(dir(), ec))
         return;
-    reclaimStaleTempsLocked();
+    store_.reclaimStaleTemps();
     mapSegmentsLocked();
-}
-
-void
-SweepJournal::reclaimStaleTempsLocked()
-{
-    std::error_code ec;
-    const auto now = std::filesystem::file_time_type::clock::now();
-    std::vector<std::filesystem::path> stale;
-    for (std::filesystem::recursive_directory_iterator
-             it(dir_,
-                std::filesystem::directory_options::
-                    skip_permission_denied,
-                ec),
-         end;
-         !ec && it != end; it.increment(ec)) {
-        if (it->path().filename().string().find(".tmp-") ==
-            std::string::npos)
-            continue;
-        std::error_code file_ec;
-        if (!it->is_regular_file(file_ec) || file_ec)
-            continue;
-        const auto mtime = it->last_write_time(file_ec);
-        if (file_ec)
-            continue;
-        // A young temp may belong to a live writer sharing this
-        // journal; only orphans past the grace period are reclaimed.
-        if (now - mtime < kTempGracePeriod)
-            continue;
-        stale.push_back(it->path());
-    }
-    for (const std::filesystem::path &path : stale) {
-        std::error_code remove_ec;
-        if (std::filesystem::remove(path, remove_ec) && !remove_ec) {
-            journalTelemetry().tmpReclaimed.add(1);
-            blab_inform("sweep journal reclaimed stale temp '",
-                        path.string(), "'");
-        }
-    }
 }
 
 void
 SweepJournal::mapSegmentsLocked()
 {
-    std::error_code ec;
-    std::vector<std::string> paths;
-    for (std::filesystem::recursive_directory_iterator
-             it(dir_,
-                std::filesystem::directory_options::
-                    skip_permission_denied,
-                ec),
-         end;
-         !ec && it != end; it.increment(ec)) {
-        if (it->path().extension() != ".blsg")
-            continue;
-        std::error_code file_ec;
-        if (!it->is_regular_file(file_ec) || file_ec)
-            continue;
-        paths.push_back(it->path().string());
-    }
     // Deterministic mapping order (and therefore a deterministic
     // index when keys collide across segments).
-    std::sort(paths.begin(), paths.end());
+    const std::vector<std::string> paths = store_.storeFiles();
     for (const std::string &path : paths) {
         std::string error;
         std::unique_ptr<trace::MappedFile> file =
@@ -552,12 +213,12 @@ SweepJournal::indexSegmentLocked(std::size_t segment_index)
     // out differently, so the version classifies before any other
     // field is trusted; unknown feature bits and schemas are likewise
     // Foreign, never corrupt.
-    const std::uint32_t version = loadU32Le(data + 4);
+    const std::uint32_t version = loadLe32(data + 4);
     if (version != kJournalSegmentVersion) {
         foreign("segment version " + std::to_string(version));
         return;
     }
-    const std::uint64_t feature_bits = loadU64Le(data + 8);
+    const std::uint64_t feature_bits = loadLe64(data + 8);
     if ((feature_bits & ~kJournalKnownFeatureBits) != 0) {
         std::ostringstream os;
         os << "unknown feature bits 0x" << std::hex
@@ -565,13 +226,13 @@ SweepJournal::indexSegmentLocked(std::size_t segment_index)
         foreign(os.str());
         return;
     }
-    const std::uint64_t schema = loadU64Le(data + 16);
+    const std::uint64_t schema = loadLe64(data + 16);
     if (schema != kJournalSchemaVersion) {
         foreign("cell schema " + std::to_string(schema));
         return;
     }
-    const std::uint32_t record_count = loadU32Le(data + 24);
-    const std::uint64_t records_length = loadU64Le(data + 32);
+    const std::uint32_t record_count = loadLe32(data + 24);
+    const std::uint64_t records_length = loadLe64(data + 32);
 
     // A truncated segment still yields its verified prefix: walk to
     // whichever comes first, the declared end or the file's.
@@ -586,8 +247,8 @@ SweepJournal::indexSegmentLocked(std::size_t segment_index)
     for (; decoded < record_count; ++decoded) {
         if (pos + 16 > end)
             break;
-        const std::uint64_t key = loadU64Le(data + pos);
-        const std::uint32_t cell_count = loadU32Le(data + pos + 8);
+        const std::uint64_t key = loadLe64(data + pos);
+        const std::uint32_t cell_count = loadLe32(data + pos + 8);
         if (cell_count == 0 || cell_count > kMaxCellsPerRecord)
             break;
         const std::size_t record_bytes =
@@ -597,7 +258,7 @@ SweepJournal::indexSegmentLocked(std::size_t segment_index)
             break;
         const std::size_t summed = record_bytes - 8;
         if (trace::checksum64(data + pos, summed) !=
-            loadU64Le(data + pos + summed))
+            loadLe64(data + pos + summed))
             break;
         index_[key] =
             IndexEntry{segment_index, data + pos + 16, cell_count};
@@ -643,38 +304,6 @@ SweepJournal::load(std::uint64_t key, std::vector<SweepCell> &cells)
             std::filesystem::file_time_type::clock::now(), ec);
         return true;
     }
-
-    return loadLegacyLocked(key, cells);
-}
-
-bool
-SweepJournal::loadLegacyLocked(std::uint64_t key,
-                               std::vector<SweepCell> &cells)
-{
-    const std::string path = legacyEntryPath(key);
-    std::ifstream file(path, std::ios::binary);
-    if (!file)
-        return false;
-    std::ostringstream content;
-    content << file.rdbuf();
-    const std::string data = content.str();
-
-    std::string error;
-    switch (decodeJournalEntryV1(data, key, cells, error)) {
-    case JournalFailure::None:
-        return true;
-    case JournalFailure::Foreign:
-        journalTelemetry().foreign.add(1);
-        blab_inform("sweep journal entry '", path,
-                    "' was written by a different build (", error,
-                    "); re-evaluating point");
-        return false;
-    case JournalFailure::Corrupt:
-        break;
-    }
-    journalTelemetry().corrupt.add(1);
-    blab_warn("corrupt sweep journal entry '", path, "' (", error,
-              "); re-evaluating point");
     return false;
 }
 
@@ -686,41 +315,23 @@ SweepJournal::store(std::uint64_t key,
         return;
     const std::lock_guard<std::mutex> lock(mutex_);
     ensureOpenLocked();
-    if (writeLegacy_) {
-        storeLegacyLocked(key, cells);
-        return;
-    }
-    putU64(pendingRecords_, key);
-    putU32(pendingRecords_,
-           static_cast<std::uint32_t>(cells.size()));
-    putU32(pendingRecords_, 0); // pad: cells stay 8-byte aligned
+    appendLe64(pendingRecords_, key);
+    appendLe32(pendingRecords_,
+               static_cast<std::uint32_t>(cells.size()));
+    appendLe32(pendingRecords_, 0); // pad: cells stay 8-byte aligned
     const std::size_t record_start =
         pendingRecords_.size() - 16;
     for (const SweepCell &cell : cells)
         appendCell(pendingRecords_, cell);
-    putU64(pendingRecords_,
-           trace::checksum64(pendingRecords_.data() + record_start,
-                             pendingRecords_.size() - record_start));
+    appendLe64(pendingRecords_,
+               trace::checksum64(pendingRecords_.data() + record_start,
+                                 pendingRecords_.size() - record_start));
     ++pendingCount_;
     owned_[key] = cells;
     journalTelemetry().stores.add(1);
     if (pendingCount_ >= kSealRecordThreshold ||
         pendingRecords_.size() >= kSealByteThreshold)
         sealLocked();
-}
-
-void
-SweepJournal::storeLegacyLocked(std::uint64_t key,
-                                const std::vector<SweepCell> &cells)
-{
-    // The upgrade-compat write path: the v1 on-disk bytes, published
-    // with the same fsync+rename discipline as a segment.
-    if (publishAtomically(legacyEntryPath(key),
-                          encodeJournalEntryV1(key, cells),
-                          "sweep journal entry")) {
-        owned_[key] = cells;
-        journalTelemetry().stores.add(1);
-    }
 }
 
 void
@@ -732,30 +343,41 @@ SweepJournal::sealLocked()
     segment.reserve(kJournalSegmentHeaderBytes +
                     pendingRecords_.size());
     segment.append(kSegmentMagic, sizeof(kSegmentMagic));
-    putU32(segment, kJournalSegmentVersion);
-    putU64(segment, 0); // feature bits: none defined yet
-    putU64(segment, kJournalSchemaVersion);
-    putU32(segment, pendingCount_);
-    putU32(segment, 0); // reserved
-    putU64(segment, pendingRecords_.size());
+    appendLe32(segment, kJournalSegmentVersion);
+    appendLe64(segment, 0); // feature bits: none defined yet
+    appendLe64(segment, kJournalSchemaVersion);
+    appendLe32(segment, pendingCount_);
+    appendLe32(segment, 0); // reserved
+    appendLe64(segment, pendingRecords_.size());
     while (segment.size() < kJournalSegmentHeaderBytes)
         segment.push_back(0);
     segment += pendingRecords_;
 
-    // Content-hash naming, like the trace cache: the shard is the
-    // first two hex digits, and re-sealing identical content is an
-    // idempotent overwrite.
+    // Content-hash naming, like the trace cache: re-sealing identical
+    // content is an idempotent overwrite.
     const std::uint64_t content_hash =
         trace::checksum64(segment.data(), segment.size());
-    const std::string name = hash16(content_hash);
-    const std::string path =
-        (std::filesystem::path(dir_) / name.substr(0, 2) /
-         ("seg-" + name + ".blsg"))
-            .string();
-    if (publishAtomically(path, segment, "sweep journal segment")) {
+    const std::string path = store_.shardPath(
+        content_hash, "seg-" + hash16(content_hash) + ".blsg");
+    const auto write = [&](const std::string &tmp) {
+        std::ofstream file(tmp, std::ios::binary | std::ios::trunc);
+        file.write(segment.data(),
+                   static_cast<std::streamsize>(segment.size()));
+        file.close();
+        if (!file)
+            blab_warn("cannot write sweep journal segment '", tmp, "'");
+        return !file.fail();
+    };
+    // On a filesystem that cannot fsync the segment is still
+    // published: the record checksums catch a torn segment on the
+    // next open, and the cost of a torn one is re-evaluation.
+    const DurableDir::PublishResult published = store_.publish(
+        path, write, DurableDir::OnSyncFailure::Publish);
+    if (!published.synced)
+        noteUnsynced(path);
+    if (published.published) {
         journalTelemetry().segments.add(1);
-        sealedPaths_.push_back(
-            std::filesystem::path(path).lexically_normal().string());
+        sealedPaths_.push_back(path);
         blab_inform("sweep journal sealed '", path, "' (",
                     pendingCount_, " points, ", segment.size(),
                     " bytes)");
@@ -773,98 +395,7 @@ SweepJournal::flush()
         return;
     const std::lock_guard<std::mutex> lock(mutex_);
     sealLocked();
-    enforceByteCapLocked();
-}
-
-void
-SweepJournal::enforceByteCapLocked()
-{
-    if (maxBytes_ == 0)
-        return;
-    struct Row
-    {
-        std::filesystem::path path;
-        std::uint64_t size = 0;
-        std::uint64_t records = 1;
-        std::filesystem::file_time_type mtime;
-    };
-    std::vector<Row> rows;
-    std::uint64_t total = 0;
-    std::error_code ec;
-    for (std::filesystem::recursive_directory_iterator
-             it(dir_,
-                std::filesystem::directory_options::
-                    skip_permission_denied,
-                ec),
-         end;
-         !ec && it != end; it.increment(ec)) {
-        const std::filesystem::path &path = it->path();
-        const bool segment = path.extension() == ".blsg";
-        if (!segment && path.extension() != ".blsj")
-            continue;
-        std::error_code file_ec;
-        if (!it->is_regular_file(file_ec) || file_ec)
-            continue;
-        Row row;
-        row.path = path;
-        row.size = it->file_size(file_ec);
-        if (file_ec)
-            continue;
-        row.mtime = it->last_write_time(file_ec);
-        if (file_ec)
-            continue;
-        if (segment && row.size >= kJournalSegmentHeaderBytes) {
-            // Cost awareness needs the record count; the header is
-            // cheap to peek and damage only skews the tie-break.
-            std::ifstream header(path, std::ios::binary);
-            std::uint8_t head[28] = {};
-            if (header.read(reinterpret_cast<char *>(head), 28))
-                row.records = std::max<std::uint64_t>(
-                    1, loadU32Le(head + 24));
-        }
-        total += row.size;
-        rows.push_back(std::move(row));
-    }
-    if (total <= maxBytes_)
-        return;
-    // LRU by mtime; among equally stale files the cost-aware
-    // tie-break evicts the cheapest-to-recompute first (fewest
-    // journalled points per byte).
-    std::sort(rows.begin(), rows.end(),
-              [](const Row &a, const Row &b) {
-                  if (a.mtime != b.mtime)
-                      return a.mtime < b.mtime;
-                  const double a_density =
-                      static_cast<double>(a.records) /
-                      static_cast<double>(std::max<std::uint64_t>(
-                          1, a.size));
-                  const double b_density =
-                      static_cast<double>(b.records) /
-                      static_cast<double>(std::max<std::uint64_t>(
-                          1, b.size));
-                  return a_density < b_density;
-              });
-    for (const Row &row : rows) {
-        if (total <= maxBytes_)
-            break;
-        // Never evict what this run just sealed -- even a cap
-        // smaller than one segment must leave the newest usable.
-        const std::string normal =
-            row.path.lexically_normal().string();
-        if (std::find(sealedPaths_.begin(), sealedPaths_.end(),
-                      normal) != sealedPaths_.end())
-            continue;
-        std::error_code remove_ec;
-        if (std::filesystem::remove(row.path, remove_ec) &&
-            !remove_ec) {
-            total -= row.size;
-            journalTelemetry().evictions.add(1);
-            journalTelemetry().bytesEvicted.add(row.size);
-            blab_inform("sweep journal evicted '", row.path.string(),
-                        "' (", row.size, " bytes, ", row.records,
-                        " points)");
-        }
-    }
+    store_.enforceByteCap(maxBytes_, sealedPaths_, segmentRecords);
 }
 
 } // namespace branchlab::core

@@ -1,11 +1,7 @@
 /**
  * @file
- * The sweep resume journal, productionized like the trace cache.
- *
- * v1 (PR 5) stored one flat `point-<key16>.blsj` file per completed
- * grid point: no fsync before the rename, no payload checksum, no
- * size cap, and an O(points) open-read-parse loop on every resume.
- * This module replaces it with a segmented store:
+ * The sweep resume journal: a segmented, content-addressed store of
+ * completed grid points.
  *
  *  - Completed points accumulate in a streaming writer and are sealed
  *    into BLSG *segments* (many records per file) under two-hex-digit
@@ -14,28 +10,29 @@
  *    checksum64 per record; resume `mmap`s each segment once,
  *    validates it, and serves every point lookup from the in-memory
  *    index -- no per-point file I/O.
- *  - Sealing follows the trace cache's durability discipline: a
- *    pid+sequence temp file, fsync of the file, atomic rename, fsync
- *    of the directory. A crash leaves either nothing or a complete
- *    segment (plus at most the unsealed in-memory tail, which the
- *    resumed run simply re-evaluates).
+ *  - Sealing, stale-temp reclamation (on open) and the byte cap go
+ *    through the shared durable-directory layer
+ *    (support/durable_dir.hh): a pid+sequence temp file, fsync of the
+ *    file, atomic rename, fsync of the directory. A crash leaves
+ *    either nothing or a complete segment (plus at most the unsealed
+ *    in-memory tail, which the resumed run simply re-evaluates). On a
+ *    filesystem that cannot fsync, segments are still published
+ *    behind a warn-once latch; the record checksums catch a torn one.
  *  - Validation failures are classified exactly like trace/cache.*:
  *    **Foreign** (a version or feature bit this reader does not know;
  *    quiet counter, clean re-evaluate) vs **Corrupt** (actual damage;
  *    warning + counter). A corrupt record abandons the rest of its
- *    segment but keeps the verified prefix.
+ *    segment but keeps the verified prefix. Files of the retired
+ *    per-point format (`point-<key>.blsj`) are never read: their
+ *    points simply re-evaluate.
  *  - `--sweep-journal-max-bytes` / BRANCHLAB_SWEEP_JOURNAL_MAX_BYTES
  *    cap the store; eviction is LRU by mtime with a cost-aware
  *    tie-break (fewer records per byte evict first) and never touches
  *    a segment sealed by this run.
- *  - Legacy v1 per-point entries still load (now with domain
- *    validation instead of blind trust), stale `*.tmp-<pid>-<seq>`
- *    files from killed runs are reclaimed on open, and
- *    BRANCHLAB_SWEEP_JOURNAL_FORMAT=v1 keeps writing the old format
- *    for the upgrade-compat gate in CI.
  *
  * Telemetry: sweep.journal.{stores, segments, corrupt, foreign,
- * evictions, bytes_mapped, bytes_evicted, tmp_reclaimed}.
+ * bytes_mapped} plus the durable layer's {evictions, bytes_evicted,
+ * tmp_reclaimed, tmp_evicted}.
  */
 
 #ifndef BRANCHLAB_CORE_SWEEP_JOURNAL_HH
@@ -45,9 +42,10 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <vector>
+
+#include "support/durable_dir.hh"
 
 namespace branchlab::trace
 {
@@ -94,36 +92,10 @@ inline constexpr std::size_t kJournalCellBytes = 48;
 /** Per-record framing: key(8) + cellCount(4) + pad(4) ... crc(8). */
 inline constexpr std::size_t kJournalRecordOverheadBytes = 24;
 
-/** Why a segment or legacy entry was refused. */
-enum class JournalFailure
-{
-    None,
-    /** Structural damage: bad magic, bad bounds, checksum mismatch. */
-    Corrupt,
-    /** A version/schema/feature this reader does not speak. */
-    Foreign,
-};
-
-/** Encode one legacy v1 per-point entry ("BLSJ" + schema + key +
- *  count + cells, no checksum). Exposed for the upgrade-compat
- *  tests. */
-std::string encodeJournalEntryV1(std::uint64_t key,
-                                 const std::vector<SweepCell> &cells);
-
-/**
- * Decode and validate a legacy v1 entry. The format carries no
- * checksum, so the cells are additionally domain-validated (finite,
- * ratios inside [0, 1], code increase non-negative) -- a bit-flipped
- * double is rejected instead of silently resumed. A schema-version
- * mismatch classifies as Foreign, not Corrupt.
- *
- * @return JournalFailure::None on success (cells filled), else the
- * classification with a diagnostic in @p error.
- */
-JournalFailure decodeJournalEntryV1(std::string_view data,
-                                    std::uint64_t key,
-                                    std::vector<SweepCell> &cells,
-                                    std::string &error);
+/** Caps the journal when no cap is configured (see
+ *  resolveByteCap). */
+inline constexpr char kJournalMaxBytesEnv[] =
+    "BRANCHLAB_SWEEP_JOURNAL_MAX_BYTES";
 
 /**
  * The resume journal. Default-constructed (empty-dir) journals are
@@ -141,12 +113,8 @@ class SweepJournal
     SweepJournal(const SweepJournal &) = delete;
     SweepJournal &operator=(const SweepJournal &) = delete;
 
-    /** The byte cap: @p configured if non-zero, else
-     *  BRANCHLAB_SWEEP_JOURNAL_MAX_BYTES, else 0 (uncapped). */
-    static std::uint64_t resolveMaxBytes(std::uint64_t configured);
-
-    bool enabled() const { return !dir_.empty(); }
-    const std::string &dir() const { return dir_; }
+    bool enabled() const { return !store_.root().empty(); }
+    const std::string &dir() const { return store_.root(); }
     std::uint64_t maxBytes() const { return maxBytes_; }
 
     /**
@@ -156,10 +124,9 @@ class SweepJournal
      */
     void open();
 
-    /** Load the cells stored under @p key: from the mapped segment
-     *  index first, else from a legacy v1 per-point file. False on
-     *  miss; corruption warns (Foreign informs) and reads as a
-     *  miss. */
+    /** Load the cells stored under @p key: points this run stored
+     *  first, else the mapped segment index. False on miss (damaged
+     *  or foreign segments were already reported by open()). */
     bool load(std::uint64_t key, std::vector<SweepCell> &cells);
 
     /** Buffer @p cells under @p key; segments seal automatically when
@@ -172,10 +139,6 @@ class SweepJournal
      *  the destructor. */
     void flush();
 
-    /** The flat legacy v1 location of @p key
-     *  ("<dir>/point-<key16>.blsj"). */
-    std::string legacyEntryPath(std::uint64_t key) const;
-
     /** Mapped-segment observability for tests and the perf
      *  harness. */
     std::size_t mappedSegments() const;
@@ -185,22 +148,13 @@ class SweepJournal
     struct Segment;
 
     void ensureOpenLocked();
-    void reclaimStaleTempsLocked();
     void mapSegmentsLocked();
     void indexSegmentLocked(std::size_t segment_index);
-    bool loadLegacyLocked(std::uint64_t key,
-                          std::vector<SweepCell> &cells);
     void sealLocked();
-    void storeLegacyLocked(std::uint64_t key,
-                           const std::vector<SweepCell> &cells);
-    void enforceByteCapLocked();
 
     mutable std::mutex mutex_;
-    std::string dir_;
+    DurableDir store_;
     std::uint64_t maxBytes_ = 0;
-    /** BRANCHLAB_SWEEP_JOURNAL_FORMAT=v1: write legacy per-point
-     *  entries (the CI upgrade-compat gate stores through this). */
-    bool writeLegacy_ = false;
     bool opened_ = false;
 
     /** A record inside a mapped segment: a borrowed pointer to its

@@ -53,8 +53,8 @@ configFor(const Request &request, const ServiceConfig &service)
 ExperimentService::ExperimentService(ServiceConfig config)
     : config_(std::move(config)),
       journal_(config_.journalDir,
-               core::SweepJournal::resolveMaxBytes(
-                   config_.journalMaxBytes))
+               resolveByteCap(config_.journalMaxBytes,
+                              core::kJournalMaxBytesEnv))
 {
     journal_.open();
 }

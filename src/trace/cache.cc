@@ -1,17 +1,13 @@
 #include "trace/cache.hh"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <iomanip>
 #include <sstream>
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include "obs/metrics.hh"
+#include "support/le_codec.hh"
 #include "support/logging.hh"
 #include "trace/format.hh"
 #include "trace/io.hh"
@@ -29,11 +25,6 @@ std::atomic<std::uint64_t> g_hits{0};
 std::atomic<std::uint64_t> g_misses{0};
 std::atomic<std::uint64_t> g_stores{0};
 
-// Distinguishes concurrent stores of the same entry within one
-// process: the temp suffix is <pid>-<sequence>, so no two in-flight
-// writers -- threads or processes -- ever share a temp file.
-std::atomic<std::uint64_t> g_tmpSequence{0};
-
 /** Telemetry handles (see obs/metrics.hh for the naming scheme). */
 struct CacheTelemetry
 {
@@ -47,18 +38,10 @@ struct CacheTelemetry
         obs::Registry::global().counter("trace_cache.corrupt_entries");
     obs::Counter &mapFailures =
         obs::Registry::global().counter("trace_cache.map_failures");
-    obs::Counter &bytesRead =
-        obs::Registry::global().counter("trace_cache.bytes_read");
     obs::Counter &bytesMapped =
         obs::Registry::global().counter("trace_cache.bytes_mapped");
     obs::Counter &bytesWritten =
         obs::Registry::global().counter("trace_cache.bytes_written");
-    obs::Counter &tmpEvicted =
-        obs::Registry::global().counter("trace_cache.tmp_evicted");
-    obs::Counter &evictions =
-        obs::Registry::global().counter("trace_cache.evictions");
-    obs::Counter &bytesEvicted =
-        obs::Registry::global().counter("trace_cache.bytes_evicted");
 };
 
 CacheTelemetry &
@@ -68,143 +51,10 @@ cacheTelemetry()
     return *telemetry;
 }
 
-void
-putU32(std::string &out, std::uint32_t value)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>((value >> (8 * i)) & 0xff));
-}
-
-void
-putU64(std::string &out, std::uint64_t value)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>((value >> (8 * i)) & 0xff));
-}
-
-bool
-getU32(std::string_view in, std::size_t &pos, std::uint32_t &value)
-{
-    if (pos + 4 > in.size())
-        return false;
-    value = 0;
-    for (int i = 0; i < 4; ++i) {
-        value |= static_cast<std::uint32_t>(
-                     static_cast<unsigned char>(in[pos + i]))
-                 << (8 * i);
-    }
-    pos += 4;
-    return true;
-}
-
-bool
-getU64(std::string_view in, std::size_t &pos, std::uint64_t &value)
-{
-    if (pos + 8 > in.size())
-        return false;
-    value = 0;
-    for (int i = 0; i < 8; ++i) {
-        value |= static_cast<std::uint64_t>(
-                     static_cast<unsigned char>(in[pos + i]))
-                 << (8 * i);
-    }
-    pos += 8;
-    return true;
-}
-
-std::uint64_t
-loadU64Le(const std::uint8_t *p)
-{
-    std::uint64_t value = 0;
-    for (int i = 0; i < 8; ++i)
-        value |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    return value;
-}
-
-std::uint32_t
-loadU32Le(const std::uint8_t *p)
-{
-    std::uint32_t value = 0;
-    for (int i = 0; i < 4; ++i)
-        value |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    return value;
-}
-
-std::string
-hash16(std::uint64_t content_hash)
-{
-    std::ostringstream os;
-    os << std::hex << std::setw(16) << std::setfill('0')
-       << content_hash;
-    return os.str();
-}
-
 std::string
 entryFileName(const std::string &name, std::uint64_t content_hash)
 {
     return name + '-' + hash16(content_hash) + ".bltc";
-}
-
-/** The pre-shard flat location, still consulted on load. */
-std::string
-flatEntryPath(const std::string &dir, const std::string &name,
-              std::uint64_t content_hash)
-{
-    return (std::filesystem::path(dir) /
-            entryFileName(name, content_hash))
-        .string();
-}
-
-/** @return empty string on success, else a diagnostic (v1 only). */
-std::string
-decodeLegacyEntry(std::string_view in, CachedWorkload &out)
-{
-    if (in.size() < sizeof(kEntryMagic) ||
-        in.compare(0, sizeof(kEntryMagic), kEntryMagic,
-                   sizeof(kEntryMagic)) != 0)
-        return "bad magic";
-    std::size_t pos = sizeof(kEntryMagic);
-    std::uint32_t version = 0;
-    if (!getU32(in, pos, version))
-        return "truncated header";
-    if (version != kEntryVersionV1)
-        return "unsupported cache version " + std::to_string(version);
-    if (!getU64(in, pos, out.contentHash) ||
-        !getU32(in, pos, out.runs) ||
-        !getU64(in, pos, out.stats.instructions) ||
-        !getU64(in, pos, out.stats.branches) ||
-        !getU64(in, pos, out.stats.conditional) ||
-        !getU64(in, pos, out.stats.condTaken) ||
-        !getU64(in, pos, out.stats.uncondKnown))
-        return "truncated header";
-    std::uint64_t likely_count = 0;
-    if (!getU64(in, pos, likely_count))
-        return "truncated likely map";
-    if (likely_count > (in.size() - pos) / kLikelyRecordBytes)
-        return "implausible likely-map count";
-    out.likely.clear();
-    out.likely.reserve(static_cast<std::size_t>(likely_count));
-    for (std::uint64_t i = 0; i < likely_count; ++i) {
-        CachedLikely entry;
-        if (!getU64(in, pos, entry.pc) ||
-            !getU64(in, pos, entry.dominantTarget) || pos >= in.size())
-            return "truncated likely map";
-        entry.likelyTaken = in[pos++] != 0;
-        out.likely.push_back(entry);
-    }
-    std::uint64_t event_count = 0;
-    std::uint64_t payload_size = 0;
-    if (!getU64(in, pos, event_count) ||
-        !getU64(in, pos, payload_size))
-        return "truncated event header";
-    if (payload_size != in.size() - pos)
-        return "event payload size mismatch";
-    std::string error;
-    if (!decodeEventsV2Soa(in.substr(pos), event_count, out.stream,
-                           error))
-        return error;
-    out.mapped.reset();
-    return "";
 }
 
 const char *
@@ -217,44 +67,7 @@ sectionName(std::size_t s)
     return kNames[s];
 }
 
-bool
-syncFd(const std::string &path)
-{
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0)
-        return false;
-    const bool ok = ::fsync(fd) == 0;
-    ::close(fd);
-    return ok;
-}
-
 } // namespace
-
-std::string
-encodeLegacyEntryV1(const CachedWorkload &workload)
-{
-    std::string out;
-    out.append(kEntryMagic, sizeof(kEntryMagic));
-    putU32(out, kEntryVersionV1);
-    putU64(out, workload.contentHash);
-    putU32(out, workload.runs);
-    putU64(out, workload.stats.instructions);
-    putU64(out, workload.stats.branches);
-    putU64(out, workload.stats.conditional);
-    putU64(out, workload.stats.condTaken);
-    putU64(out, workload.stats.uncondKnown);
-    putU64(out, workload.likely.size());
-    for (const CachedLikely &entry : workload.likely) {
-        putU64(out, entry.pc);
-        putU64(out, entry.dominantTarget);
-        out.push_back(entry.likelyTaken ? 1 : 0);
-    }
-    const std::string payload = encodeEventsV2(workload.stream);
-    putU64(out, workload.stream.size());
-    putU64(out, payload.size());
-    out += payload;
-    return out;
-}
 
 bool
 mapEntryFile(const std::string &path, std::uint64_t expected_hash,
@@ -272,24 +85,16 @@ mapEntryFile(const std::string &path, std::uint64_t expected_hash,
         error = "bad magic";
         return false;
     }
-    const std::uint32_t version = loadU32Le(data + sizeof(kEntryMagic));
-    if (version == kEntryVersionV1) {
-        // Legacy inline entry: owning decode straight off the mapping
-        // (the mapping is released afterwards -- nothing borrows it).
-        error = decodeLegacyEntry(
-            std::string_view(reinterpret_cast<const char *>(data),
-                             size),
-            out);
-        if (!error.empty())
-            return false;
-        if (out.contentHash != expected_hash) {
-            error = "mismatched content hash";
-            return false;
-        }
-        failure = MapFailure::None;
-        return true;
+    if (size < kEntryHeaderBytes) {
+        error = "truncated header";
+        return false;
     }
+    const std::uint32_t version = loadLe32(data + sizeof(kEntryMagic));
     if (version != kEntryVersion) {
+        // A whole header of another format generation (the retired v1
+        // inline entry, or a newer writer) is not damage: refuse
+        // quietly and re-record.
+        failure = MapFailure::Foreign;
         error = "unsupported cache version " + std::to_string(version);
         return false;
     }
@@ -381,8 +186,8 @@ mapEntryFile(const std::string &path, std::uint64_t expected_hash,
         data + header.section(EntrySection::Likely).offset;
     for (std::uint64_t i = 0; i < header.likelyCount; ++i) {
         CachedLikely entry;
-        entry.pc = loadU64Le(likely);
-        entry.dominantTarget = loadU64Le(likely + 8);
+        entry.pc = loadLe64(likely);
+        entry.dominantTarget = loadLe64(likely + 8);
         entry.likelyTaken = likely[16] != 0;
         out.likely.push_back(entry);
         likely += kLikelyRecordBytes;
@@ -440,33 +245,16 @@ TraceCache::resolveDir(const std::string &configured)
     return "";
 }
 
-std::uint64_t
-TraceCache::resolveMaxBytes(std::uint64_t configured)
-{
-    if (configured != 0)
-        return configured;
-    if (const char *env =
-            std::getenv("BRANCHLAB_TRACE_CACHE_MAX_BYTES")) {
-        char *end = nullptr;
-        const unsigned long long parsed = std::strtoull(env, &end, 10);
-        if (end != env && *end == '\0')
-            return parsed;
-        blab_warn("ignoring unparsable "
-                  "BRANCHLAB_TRACE_CACHE_MAX_BYTES='",
-                  env, "'");
-    }
-    return 0;
-}
+TraceCache::TraceCache(std::string dir, std::uint64_t max_bytes)
+    : store_(std::move(dir), "trace_cache", ".bltc"), maxBytes_(max_bytes)
+{}
 
 std::string
 TraceCache::entryPath(const std::string &name,
                       std::uint64_t content_hash) const
 {
-    const std::string file = entryFileName(name, content_hash);
-    return (std::filesystem::path(dir_) / file.substr(file.size() - 21,
-                                                      2) /
-            file)
-        .string();
+    return store_.shardPath(content_hash,
+                            entryFileName(name, content_hash));
 }
 
 bool
@@ -475,19 +263,13 @@ TraceCache::load(const std::string &name, std::uint64_t content_hash,
 {
     if (!enabled())
         return false;
-    std::string path = entryPath(name, content_hash);
+    const std::string path = entryPath(name, content_hash);
     std::error_code ec;
     if (!std::filesystem::exists(path, ec)) {
-        // Pre-shard caches kept entries flat in the top directory.
-        const std::string flat =
-            flatEntryPath(dir_, name, content_hash);
-        if (!std::filesystem::exists(flat, ec)) {
-            ++g_misses;
-            cacheTelemetry().misses.add(1);
-            blab_inform("trace cache miss: ", name);
-            return false;
-        }
-        path = flat;
+        ++g_misses;
+        cacheTelemetry().misses.add(1);
+        blab_inform("trace cache miss: ", name);
+        return false;
     }
     CachedWorkload loaded;
     std::string error;
@@ -499,7 +281,7 @@ TraceCache::load(const std::string &name, std::uint64_t content_hash,
         if (failure == MapFailure::Foreign) {
             // Foreign, not broken: refuse quietly and re-record.
             blab_inform("trace cache entry '", path,
-                        "' needs features this reader lacks (", error,
+                        "' is foreign to this reader (", error,
                         "); re-recording");
         } else {
             cacheTelemetry().corrupt.add(1);
@@ -509,21 +291,14 @@ TraceCache::load(const std::string &name, std::uint64_t content_hash,
         return false;
     }
     out = std::move(loaded);
-    if (out.mapped) {
-        cacheTelemetry().bytesMapped.add(out.mapped->file->size());
-    } else {
-        const std::uintmax_t bytes =
-            std::filesystem::file_size(path, ec);
-        if (!ec)
-            cacheTelemetry().bytesRead.add(bytes);
-    }
+    cacheTelemetry().bytesMapped.add(out.mapped->file->size());
     // LRU touch: a hit makes the entry recently used.
     std::filesystem::last_write_time(
         path, std::filesystem::file_time_type::clock::now(), ec);
     ++g_hits;
     cacheTelemetry().hits.add(1);
     blab_inform("trace cache hit: ", name, " (", out.eventCount(),
-                " events", out.mapped ? ", mapped)" : ")");
+                " events, mapped)");
     return true;
 }
 
@@ -536,36 +311,15 @@ TraceCache::store(const std::string &name,
     blab_assert(!workload.mapped,
                 "store() expects an owning stream, not a mapped hit");
     const std::string path = entryPath(name, workload.contentHash);
-    const std::filesystem::path shard_dir =
-        std::filesystem::path(path).parent_path();
-    std::error_code ec;
-    std::filesystem::create_directories(shard_dir, ec);
-    if (ec) {
-        blab_warn("cannot create trace cache directory '",
-                  shard_dir.string(), "': ", ec.message());
-        return;
-    }
-    // Unique temp name per in-flight store: the pid separates
-    // processes and the process-wide atomic sequence separates
-    // threads, so two threads storing the same entry concurrently can
-    // never clobber each other's temp file mid-write. The rename into
-    // place is atomic either way (last writer wins with a complete
-    // entry).
-    const std::string tmp =
-        path + ".tmp-" + std::to_string(static_cast<long>(::getpid())) +
-        "-" +
-        std::to_string(
-            g_tmpSequence.fetch_add(1, std::memory_order_relaxed));
     const SoaTrace &stream = workload.stream;
     const std::size_t n = stream.size();
     const std::size_t plane_bytes = (n + 7) / 8;
     std::uint64_t entry_size = 0;
-    bool written = false;
-    {
+    const auto write = [&](const std::string &tmp) {
         EntryWriter writer(tmp);
         if (!writer.ok()) {
             blab_warn("cannot write trace cache entry '", tmp, "'");
-            return;
+            return false;
         }
         writer.setMeta(workload.contentHash, workload.runs,
                        workload.stats, n, stream.maxPc(),
@@ -574,8 +328,8 @@ TraceCache::store(const std::string &name,
         likely_bytes.reserve(kLikelyRecordBytes *
                              workload.likely.size());
         for (const CachedLikely &entry : workload.likely) {
-            putU64(likely_bytes, entry.pc);
-            putU64(likely_bytes, entry.dominantTarget);
+            appendLe64(likely_bytes, entry.pc);
+            appendLe64(likely_bytes, entry.dominantTarget);
             likely_bytes.push_back(entry.likelyTaken ? 1 : 0);
         }
         writer.writeSection(EntrySection::Likely, likely_bytes.data(),
@@ -603,105 +357,30 @@ TraceCache::store(const std::string &name,
         writer.writeSection(EntrySection::AnomalyDeltas,
                             anomalies.data(), anomalies.size());
         std::string werror;
-        if (writer.finish(werror)) {
-            entry_size = writer.bytesWritten();
-            written = true;
-        } else {
+        if (!writer.finish(werror)) {
             blab_warn("trace cache write failed for '", tmp, "' (",
                       werror, ")");
+            return false;
         }
-    }
-    // Durability before visibility: the entry's bytes reach the disk
-    // before the rename can publish its name, and the directory entry
-    // itself is synced after. A crash leaves either the old entry or
-    // the complete new one.
-    if (written && !syncFd(tmp)) {
-        blab_warn("cannot sync trace cache entry '", tmp, "'");
-        written = false;
-    }
-    if (!written) {
-        std::filesystem::remove(tmp, ec);
-        cacheTelemetry().tmpEvicted.add(1);
+        entry_size = writer.bytesWritten();
+        return true;
+    };
+    // An entry that cannot be synced is discarded rather than
+    // published: a cache miss costs one re-record, a torn entry that
+    // survives a power loss would cost a corruption warning.
+    const DurableDir::PublishResult published = store_.publish(
+        path, write, DurableDir::OnSyncFailure::Discard);
+    if (!published.published) {
+        if (!published.synced)
+            blab_warn("cannot sync trace cache entry '", path, "'");
         return;
     }
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) {
-        blab_warn("cannot publish trace cache entry '", path, "': ",
-                  ec.message());
-        std::filesystem::remove(tmp, ec);
-        cacheTelemetry().tmpEvicted.add(1);
-        return;
-    }
-    syncFd(shard_dir.string()); // best-effort
     ++g_stores;
     cacheTelemetry().stores.add(1);
     cacheTelemetry().bytesWritten.add(entry_size);
     blab_inform("trace cache store: ", name, " (", n, " events)");
-    enforceByteCap(path);
-}
-
-void
-TraceCache::enforceByteCap(const std::string &just_stored) const
-{
-    if (maxBytes_ == 0)
-        return;
-    struct Row
-    {
-        std::filesystem::path path;
-        std::uint64_t size = 0;
-        std::filesystem::file_time_type mtime;
-    };
-    std::vector<Row> rows;
-    std::uint64_t total = 0;
-    std::error_code ec;
-    const std::filesystem::path stored =
-        std::filesystem::path(just_stored).lexically_normal();
-    for (std::filesystem::recursive_directory_iterator
-             it(dir_,
-                std::filesystem::directory_options::
-                    skip_permission_denied,
-                ec),
-         end;
-         !ec && it != end; it.increment(ec)) {
-        if (it->path().extension() != ".bltc")
-            continue;
-        std::error_code file_ec;
-        if (!it->is_regular_file(file_ec) || file_ec)
-            continue;
-        Row row;
-        row.path = it->path();
-        row.size = it->file_size(file_ec);
-        if (file_ec)
-            continue;
-        row.mtime = it->last_write_time(file_ec);
-        if (file_ec)
-            continue;
-        total += row.size;
-        rows.push_back(std::move(row));
-    }
-    if (total <= maxBytes_)
-        return;
-    std::sort(rows.begin(), rows.end(),
-              [](const Row &a, const Row &b) {
-                  return a.mtime < b.mtime;
-              });
-    for (const Row &row : rows) {
-        if (total <= maxBytes_)
-            break;
-        // Never evict what this store just published -- even a cap
-        // smaller than one entry must leave the newest usable.
-        if (row.path.lexically_normal() == stored)
-            continue;
-        std::error_code remove_ec;
-        if (std::filesystem::remove(row.path, remove_ec) &&
-            !remove_ec) {
-            total -= row.size;
-            cacheTelemetry().evictions.add(1);
-            cacheTelemetry().bytesEvicted.add(row.size);
-            blab_inform("trace cache evicted '", row.path.string(),
-                        "' (", row.size, " bytes)");
-        }
-    }
+    store_.reclaimStaleTemps();
+    store_.enforceByteCap(maxBytes_, {path});
 }
 
 } // namespace branchlab::trace

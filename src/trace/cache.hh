@@ -7,16 +7,15 @@
  * Entries are sharded two hex digits deep
  * (`<dir>/<hh>/<name>-<hash16>.bltc`, where `hh` is the leading byte
  * of the hash) so a large cache never piles thousands of files into
- * one directory; pre-shard flat entries are still found. Each file is
- * a BLTC v2 sectioned entry (trace/format.hh): the recorded stream's
- * columns plus the profile data derived alongside it (run count, the
- * TraceStats counters, and the per-branch likely map used by the
- * profiled-static scheme and the Forward Semantic transform), laid
- * out for mmap. A warm load does not decode the stream at all -- it
- * maps the file, validates it (section bounds, checksums, opcode
- * range, content hash, feature bits), and hands replay a zero-copy
- * TraceView over the mapping (trace/view.hh). Legacy v1 entries
- * (inline columnar payload) still load, via the owning decode path.
+ * one directory. Each file is a BLTC v2 sectioned entry
+ * (trace/format.hh): the recorded stream's columns plus the profile
+ * data derived alongside it (run count, the TraceStats counters, and
+ * the per-branch likely map used by the profiled-static scheme and
+ * the Forward Semantic transform), laid out for mmap. A warm load does
+ * not decode the stream at all -- it maps the file, validates it
+ * (section bounds, checksums, opcode range, content hash, feature
+ * bits), and hands replay a zero-copy TraceView over the mapping
+ * (trace/view.hh).
  *
  * Invalidation is purely content-addressed: the key hashes the
  * program IR (printed with addresses), the data segment, the layout
@@ -25,36 +24,33 @@
  * hash, so a stale entry can never be served -- it is simply never
  * looked up again, and `load` additionally verifies the hash stored
  * inside the file. Corrupt or unreadable entries soft-fail (warn and
- * re-record); entries carrying feature bits this reader does not
- * implement are refused the same way (without the corruption warning
- * -- they are foreign, not broken). Nothing in the load path can
- * abort a run.
+ * re-record); entries of another format version or carrying feature
+ * bits this reader does not implement are refused the same way
+ * (without the corruption warning -- they are foreign, not broken).
+ * Nothing in the load path can abort a run.
  *
- * Writes are atomic and durable: the entry streams through an
- * EntryWriter into a temp file in the shard directory, is fsync'd,
- * and renamed into place (followed by a directory fsync), so
- * concurrent runs, crashes, and power loss leave either the old file
- * or the complete new one -- never a torn entry under the published
- * name. Temp names carry a `<pid>-<sequence>` suffix (the sequence is
- * a process-wide atomic counter), so concurrent stores of the same
- * entry -- across threads or processes -- never share a temp file,
- * and every failed write unlinks its temp file.
+ * Writes, stale-temp reclamation and the byte cap go through the
+ * shared durable-directory layer (support/durable_dir.hh): the entry
+ * streams through an EntryWriter into a `<pid>-<sequence>` temp file,
+ * is fsync'd and renamed into place, so concurrent runs, crashes, and
+ * power loss leave either the old file or the complete new one. An
+ * entry whose fsync fails is discarded, not published.
  *
  * Lifecycle: an optional byte cap (constructor argument,
  * `--trace-cache-max-bytes`, or BRANCHLAB_TRACE_CACHE_MAX_BYTES)
- * bounds the cache directory. After each store the cache evicts
- * least-recently-used entries (by mtime; loads touch their entry)
- * until the total is back under the cap, never evicting the entry
- * just stored. 0 means unbounded.
+ * bounds the cache directory. After each store the cache reclaims
+ * stale temps left by killed writers and evicts least-recently-used
+ * entries (by mtime; loads touch their entry) until the total is back
+ * under the cap, never evicting the entry just stored. 0 means
+ * unbounded. The warm load path never walks the directory.
  *
  * Besides the functional TraceCacheCounters below, the cache reports
  * telemetry to obs::Registry::global(): `trace_cache.hits`,
  * `.misses`, `.stores`, `.corrupt_entries` (unreadable, undecodable,
- * or hash-mismatched entries), `.map_failures` (v2 entries that could
+ * or hash-mismatched entries), `.map_failures` (entries that could
  * not be mapped and validated -- a superset of the corrupt ones plus
- * foreign-feature refusals), `.bytes_read` (legacy whole-file loads),
- * `.bytes_mapped`, `.bytes_written`, `.tmp_evicted` (temp files
- * removed after failed writes/renames), `.evictions`, and
+ * foreign refusals), `.bytes_mapped`, `.bytes_written`, and the
+ * durable layer's `.tmp_evicted`, `.tmp_reclaimed`, `.evictions` and
  * `.bytes_evicted`.
  */
 
@@ -67,6 +63,7 @@
 #include <string_view>
 #include <vector>
 
+#include "support/durable_dir.hh"
 #include "trace/event.hh"
 #include "trace/mmap.hh"
 #include "trace/soa.hh"
@@ -162,9 +159,9 @@ struct MappedEntry
  * Everything a warm run needs in place of the VM record pass. The
  * stream arrives in exactly one of two forms:
  *
- *  - `mapped` non-null (v2 hit): zero-copy, `stream` empty;
- *  - `mapped` null: an owning SoaTrace in `stream` (cold records,
- *    legacy v1 hits).
+ *  - `mapped` non-null (warm hits): zero-copy, `stream` empty;
+ *  - `mapped` null: an owning SoaTrace in `stream` (cold records, and
+ *    the input to TraceCache::store).
  *
  * traceView() papers over the difference for replay consumers.
  */
@@ -177,7 +174,7 @@ struct CachedWorkload
     std::vector<CachedLikely> likely;
     /** The owning stream (empty when `mapped` is set). */
     SoaTrace stream;
-    /** The zero-copy mapped stream (v2 warm hits). */
+    /** The zero-copy mapped stream (warm hits). */
     std::shared_ptr<const MappedEntry> mapped;
 
     TraceView
@@ -199,16 +196,15 @@ enum class MapFailure
     None,
     /** Unreadable, malformed, checksum- or hash-mismatched. */
     Corrupt,
-    /** Valid but carries feature bits this reader does not
+    /** Another format version, or feature bits this reader does not
      *  implement. */
     Foreign,
 };
 
 /**
- * Map and fully validate one entry file (v2 zero-copy; legacy v1
- * entries decode into an owning stream). On success fills @p out and
- * returns true. On failure returns false with a diagnostic in
- * @p error and the classification in @p failure; never warns, never
+ * Map and fully validate one entry file (zero-copy). On success fills
+ * @p out and returns true. On failure returns false with a diagnostic
+ * in @p error and the classification in @p failure; never warns, never
  * aborts, and never leaves a mapping behind. @p expected_hash must
  * match the embedded content hash. Exposed for the streaming bench
  * (bench/stream_smoke.cc) and the validation tests; cache consumers
@@ -217,10 +213,6 @@ enum class MapFailure
 bool mapEntryFile(const std::string &path, std::uint64_t expected_hash,
                   CachedWorkload &out, std::string &error,
                   MapFailure &failure);
-
-/** Serialize @p workload in the legacy v1 inline format
- *  (compatibility tests: v1 entries must keep loading). */
-std::string encodeLegacyEntryV1(const CachedWorkload &workload);
 
 /** Hit/miss/store totals across all caches in the process. */
 struct TraceCacheCounters
@@ -233,6 +225,10 @@ struct TraceCacheCounters
 TraceCacheCounters traceCacheCounters();
 void resetTraceCacheCounters();
 
+/** Caps the cache when no cap is configured (see resolveByteCap). */
+inline constexpr char kTraceCacheMaxBytesEnv[] =
+    "BRANCHLAB_TRACE_CACHE_MAX_BYTES";
+
 /**
  * A cache directory. Default-constructed (or empty-dir) caches are
  * disabled: load always misses and store is a no-op, so callers can
@@ -242,9 +238,7 @@ class TraceCache
 {
   public:
     TraceCache() = default;
-    explicit TraceCache(std::string dir, std::uint64_t max_bytes = 0)
-        : dir_(std::move(dir)), maxBytes_(max_bytes)
-    {}
+    explicit TraceCache(std::string dir, std::uint64_t max_bytes = 0);
 
     /**
      * Pick the cache directory: @p configured if non-empty, else the
@@ -252,15 +246,8 @@ class TraceCache
      */
     static std::string resolveDir(const std::string &configured);
 
-    /**
-     * Pick the byte cap: @p configured if non-zero, else the
-     * BRANCHLAB_TRACE_CACHE_MAX_BYTES environment variable, else 0
-     * (unbounded).
-     */
-    static std::uint64_t resolveMaxBytes(std::uint64_t configured);
-
-    bool enabled() const { return !dir_.empty(); }
-    const std::string &dir() const { return dir_; }
+    bool enabled() const { return !store_.root().empty(); }
+    const std::string &dir() const { return store_.root(); }
     std::uint64_t maxBytes() const { return maxBytes_; }
 
     /** Path of the entry for @p name under @p content_hash (sharded;
@@ -270,7 +257,7 @@ class TraceCache
 
     /**
      * Look up @p name / @p content_hash. On a hit, fill @p out and
-     * return true (v2 entries arrive mapped, zero-copy). Misses,
+     * return true (the entry arrives mapped, zero-copy). Misses,
      * corrupt entries, hash mismatches, and foreign-feature entries
      * return false (corruption warns; a mismatch is treated as
      * corruption -- the filename already encodes the hash).
@@ -280,18 +267,15 @@ class TraceCache
 
     /**
      * Persist @p workload (its owning `stream`) as the entry for
-     * @p name. Creates the shard directory if needed; streams a temp
-     * file, fsyncs, and renames it into place. Failures warn, unlink
-     * the temp file, and leave the cache unchanged. A successful
-     * store then evicts LRU entries until the cache fits maxBytes().
+     * @p name and publish it durably. Failures warn and leave the
+     * cache unchanged. A successful store then reclaims stale temps
+     * and evicts LRU entries until the cache fits maxBytes().
      */
     void store(const std::string &name,
                const CachedWorkload &workload) const;
 
   private:
-    void enforceByteCap(const std::string &just_stored) const;
-
-    std::string dir_;
+    DurableDir store_;
     std::uint64_t maxBytes_ = 0;
 };
 

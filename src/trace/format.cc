@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "support/le_codec.hh"
 #include "support/logging.hh"
 
 namespace branchlab::trace
@@ -14,51 +15,10 @@ constexpr std::uint64_t kFnvOffset = 0xcbf29ce484222325ULL;
 constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
 
 std::uint64_t
-loadWordLe(const std::uint8_t *p)
-{
-    std::uint64_t word = 0;
-    std::memcpy(&word, p, 8); // little-endian hosts only, like the
-                              // rest of the on-disk integer fields
-    return word;
-}
-
-std::uint64_t
 mixWord(std::uint64_t hash, std::uint64_t word)
 {
     hash ^= word;
     return hash * kFnvPrime;
-}
-
-void
-putU32(std::string &out, std::uint32_t value)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<char>((value >> (8 * i)) & 0xff));
-}
-
-void
-putU64(std::string &out, std::uint64_t value)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<char>((value >> (8 * i)) & 0xff));
-}
-
-std::uint32_t
-getU32(const std::uint8_t *p)
-{
-    std::uint32_t value = 0;
-    for (int i = 0; i < 4; ++i)
-        value |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    return value;
-}
-
-std::uint64_t
-getU64(const std::uint8_t *p)
-{
-    std::uint64_t value = 0;
-    for (int i = 0; i < 8; ++i)
-        value |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    return value;
 }
 
 std::string
@@ -66,25 +26,25 @@ encodeHeader(const EntryHeader &header)
 {
     std::string out;
     out.append(kEntryMagic, sizeof(kEntryMagic));
-    putU32(out, kEntryVersion);
-    putU64(out, header.featureBits);
-    putU64(out, header.contentHash);
-    putU32(out, header.runs);
-    putU32(out, header.sectionCount);
-    putU64(out, header.stats.instructions);
-    putU64(out, header.stats.branches);
-    putU64(out, header.stats.conditional);
-    putU64(out, header.stats.condTaken);
-    putU64(out, header.stats.uncondKnown);
-    putU64(out, header.eventCount);
-    putU64(out, header.maxPc);
-    putU64(out, header.likelyCount);
+    appendLe32(out, kEntryVersion);
+    appendLe64(out, header.featureBits);
+    appendLe64(out, header.contentHash);
+    appendLe32(out, header.runs);
+    appendLe32(out, header.sectionCount);
+    appendLe64(out, header.stats.instructions);
+    appendLe64(out, header.stats.branches);
+    appendLe64(out, header.stats.conditional);
+    appendLe64(out, header.stats.condTaken);
+    appendLe64(out, header.stats.uncondKnown);
+    appendLe64(out, header.eventCount);
+    appendLe64(out, header.maxPc);
+    appendLe64(out, header.likelyCount);
     blab_assert(out.size() == kEntryHeaderBytes,
                 "entry header layout drifted");
     for (const SectionRecord &section : header.sections) {
-        putU64(out, section.offset);
-        putU64(out, section.length);
-        putU64(out, section.checksum);
+        appendLe64(out, section.offset);
+        appendLe64(out, section.length);
+        appendLe64(out, section.checksum);
     }
     return out;
 }
@@ -98,11 +58,11 @@ checksum64(const void *data, std::size_t size)
     std::uint64_t hash = kFnvOffset;
     std::size_t i = 0;
     for (; i + 8 <= size; i += 8)
-        hash = mixWord(hash, loadWordLe(p + i));
+        hash = mixWord(hash, loadLe64(p + i));
     if (i < size) {
         std::uint8_t tail[8] = {};
         std::memcpy(tail, p + i, size - i);
-        hash = mixWord(hash, loadWordLe(tail));
+        hash = mixWord(hash, loadLe64(tail));
     }
     return mixWord(hash, size);
 }
@@ -114,18 +74,18 @@ decodeEntryHeader(const std::uint8_t *data, std::size_t size,
     if (size < kEntryHeaderBytes)
         return "truncated header";
     const std::uint8_t *p = data + sizeof(kEntryMagic) + 4;
-    out.featureBits = getU64(p);
-    out.contentHash = getU64(p + 8);
-    out.runs = getU32(p + 16);
-    out.sectionCount = getU32(p + 20);
-    out.stats.instructions = getU64(p + 24);
-    out.stats.branches = getU64(p + 32);
-    out.stats.conditional = getU64(p + 40);
-    out.stats.condTaken = getU64(p + 48);
-    out.stats.uncondKnown = getU64(p + 56);
-    out.eventCount = getU64(p + 64);
-    out.maxPc = getU64(p + 72);
-    out.likelyCount = getU64(p + 80);
+    out.featureBits = loadLe64(p);
+    out.contentHash = loadLe64(p + 8);
+    out.runs = loadLe32(p + 16);
+    out.sectionCount = loadLe32(p + 20);
+    out.stats.instructions = loadLe64(p + 24);
+    out.stats.branches = loadLe64(p + 32);
+    out.stats.conditional = loadLe64(p + 40);
+    out.stats.condTaken = loadLe64(p + 48);
+    out.stats.uncondKnown = loadLe64(p + 56);
+    out.eventCount = loadLe64(p + 64);
+    out.maxPc = loadLe64(p + 72);
+    out.likelyCount = loadLe64(p + 80);
     if (out.sectionCount < kEntrySectionCount)
         return "too few sections (" +
                std::to_string(out.sectionCount) + ")";
@@ -135,9 +95,9 @@ decodeEntryHeader(const std::uint8_t *data, std::size_t size,
         return "section table exceeds file";
     const std::uint8_t *row = data + kEntryHeaderBytes;
     for (std::size_t s = 0; s < kEntrySectionCount; ++s, row += 24) {
-        out.sections[s].offset = getU64(row);
-        out.sections[s].length = getU64(row + 8);
-        out.sections[s].checksum = getU64(row + 16);
+        out.sections[s].offset = loadLe64(row);
+        out.sections[s].length = loadLe64(row + 8);
+        out.sections[s].checksum = loadLe64(row + 16);
     }
     return "";
 }
@@ -201,13 +161,13 @@ EntryWriter::write(const void *data, std::size_t size)
             --n;
         }
         if (sumCarryLen_ == 8) {
-            sumHash_ = mixWord(sumHash_, loadWordLe(sumCarry_.data()));
+            sumHash_ = mixWord(sumHash_, loadLe64(sumCarry_.data()));
             sumCarryLen_ = 0;
         }
     }
     std::size_t i = 0;
     for (; i + 8 <= n; i += 8)
-        sumHash_ = mixWord(sumHash_, loadWordLe(p + i));
+        sumHash_ = mixWord(sumHash_, loadLe64(p + i));
     for (; i < n; ++i)
         sumCarry_[sumCarryLen_++] = p[i];
 }
@@ -220,7 +180,7 @@ EntryWriter::endSection()
     if (sumCarryLen_ != 0) {
         std::uint8_t tail[8] = {};
         std::memcpy(tail, sumCarry_.data(), sumCarryLen_);
-        hash = mixWord(hash, loadWordLe(tail));
+        hash = mixWord(hash, loadLe64(tail));
     }
     hash = mixWord(hash, sumLength_);
     SectionRecord &record =

@@ -33,8 +33,9 @@
  * strip-mined block at a time (trace/view.hh).
  *
  * Compatibility rules:
- *  - version 1 is the legacy inline entry (whole-file decode); it
- *    stays readable, see trace/cache.cc.
+ *  - any version other than kEntryVersion (including the retired
+ *    version 1 inline entry) is foreign: the cache refuses it quietly
+ *    and re-records.
  *  - feature bits declare semantics a reader MUST understand to use
  *    the entry. A reader that sees a bit outside kKnownFeatureBits
  *    refuses the entry cleanly (the cache re-records); a writer never
@@ -61,7 +62,6 @@ namespace branchlab::trace
 {
 
 inline constexpr char kEntryMagic[4] = {'B', 'L', 'T', 'C'};
-inline constexpr std::uint32_t kEntryVersionV1 = 1;
 inline constexpr std::uint32_t kEntryVersion = 2;
 
 /** Sections start on this boundary (one page on every platform we
@@ -158,8 +158,8 @@ std::string decodeEntryHeader(const std::uint8_t *data,
  * Nothing is buffered beyond the current chunk, so a generator can
  * emit entries far larger than memory (bench/stream_smoke.cc).
  *
- * The writer does NOT fsync or rename; atomic-publish discipline
- * stays with the caller (trace/cache.cc).
+ * The writer does NOT fsync or rename; atomic publication is the
+ * caller's job (trace/cache.cc publishes through support/durable_dir).
  */
 class EntryWriter
 {

@@ -1,10 +1,9 @@
 #include "trace/io.hh"
 
-#include <array>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 
+#include "support/le_codec.hh"
 #include "support/logging.hh"
 #include "trace/varint.hh"
 
@@ -15,97 +14,9 @@ namespace
 {
 
 constexpr char kMagic[4] = {'B', 'L', 'T', 'R'};
-constexpr std::size_t kEventBytesV1 = 4 * 8 + 2;
-
-void
-putU32(std::ostream &os, std::uint32_t value)
-{
-    std::array<char, 4> bytes;
-    for (int i = 0; i < 4; ++i)
-        bytes[static_cast<std::size_t>(i)] =
-            static_cast<char>((value >> (8 * i)) & 0xff);
-    os.write(bytes.data(), bytes.size());
-}
-
-void
-putU64(std::ostream &os, std::uint64_t value)
-{
-    std::array<char, 8> bytes;
-    for (int i = 0; i < 8; ++i)
-        bytes[static_cast<std::size_t>(i)] =
-            static_cast<char>((value >> (8 * i)) & 0xff);
-    os.write(bytes.data(), bytes.size());
-}
-
-std::uint32_t
-getU32(std::istream &is)
-{
-    std::array<char, 4> bytes;
-    is.read(bytes.data(), bytes.size());
-    if (!is)
-        blab_fatal("truncated trace stream");
-    std::uint32_t value = 0;
-    for (int i = 0; i < 4; ++i) {
-        value |= static_cast<std::uint32_t>(
-                     static_cast<unsigned char>(
-                         bytes[static_cast<std::size_t>(i)]))
-                 << (8 * i);
-    }
-    return value;
-}
-
-std::uint64_t
-getU64(std::istream &is)
-{
-    std::array<char, 8> bytes;
-    is.read(bytes.data(), bytes.size());
-    if (!is)
-        blab_fatal("truncated trace stream");
-    std::uint64_t value = 0;
-    for (int i = 0; i < 8; ++i) {
-        value |= static_cast<std::uint64_t>(
-                     static_cast<unsigned char>(
-                         bytes[static_cast<std::size_t>(i)]))
-                 << (8 * i);
-    }
-    return value;
-}
-
-void
-putEventV1(std::ostream &os, const BranchEvent &event)
-{
-    putU64(os, event.pc);
-    putU64(os, event.nextPc);
-    putU64(os, event.targetAddr);
-    putU64(os, event.fallthroughAddr);
-    const char op = static_cast<char>(event.op);
-    os.put(op);
-    const char flags = static_cast<char>(
-        (event.conditional ? 1 : 0) | (event.taken ? 2 : 0) |
-        (event.targetKnown ? 4 : 0));
-    os.put(flags);
-}
-
-BranchEvent
-getEventV1(std::istream &is)
-{
-    BranchEvent event;
-    event.pc = getU64(is);
-    event.nextPc = getU64(is);
-    event.targetAddr = getU64(is);
-    event.fallthroughAddr = getU64(is);
-    const int op = is.get();
-    const int flags = is.get();
-    if (op < 0 || flags < 0)
-        blab_fatal("truncated trace stream");
-    if (op >= ir::kNumOpcodes)
-        blab_fatal("corrupt trace stream: bad opcode ", op);
-    event.op = static_cast<ir::Opcode>(op);
-    event.conditional = (flags & 1) != 0;
-    event.taken = (flags & 2) != 0;
-    event.targetKnown = (flags & 4) != 0;
-    return event;
-}
+/** magic, u32 version, u64 content hash, u64 count, u64 payload
+ *  bytes. */
+constexpr std::size_t kHeaderBytes = sizeof(kMagic) + 4 + 3 * 8;
 
 bool
 getBit(std::string_view plane, std::size_t base, std::uint64_t i)
@@ -115,42 +26,37 @@ getBit(std::string_view plane, std::size_t base, std::uint64_t i)
            1u;
 }
 
-struct HeaderV2
+struct Header
 {
     std::uint64_t contentHash = 0;
     std::uint64_t count = 0;
     std::uint64_t payloadSize = 0;
 };
 
-/**
- * Read the common magic+version prefix; fill @p v2 when the stream is
- * version 2. @return the version (1 or 2); for v1 @p count_v1 holds
- * the event count.
- */
-std::uint32_t
-readHeader(std::istream &is, std::uint64_t &count_v1, HeaderV2 &v2)
+/** Read and check the fixed header in one read. */
+Header
+readHeader(std::istream &is)
 {
-    char magic[4];
-    is.read(magic, sizeof(magic));
-    if (!is || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
+    std::uint8_t raw[kHeaderBytes];
+    is.read(reinterpret_cast<char *>(raw), sizeof(raw));
+    const auto got = static_cast<std::size_t>(is.gcount());
+    if (got < sizeof(kMagic) ||
+        std::memcmp(raw, kMagic, sizeof(kMagic)) != 0)
         blab_fatal("not a BranchLab trace (bad magic)");
-    const std::uint32_t version = getU32(is);
-    if (version == kTraceFormatVersionV1) {
-        count_v1 = getU64(is);
-        return version;
+    if (got >= sizeof(kMagic) + 4) {
+        const std::uint32_t version = loadLe32(raw + sizeof(kMagic));
+        if (version != kTraceFormatVersion)
+            blab_fatal("unsupported trace version ", version,
+                       " (expected ", kTraceFormatVersion, ")");
     }
-    if (version == kTraceFormatVersion) {
-        v2.contentHash = getU64(is);
-        v2.count = getU64(is);
-        v2.payloadSize = getU64(is);
-        return version;
-    }
-    blab_fatal("unsupported trace version ", version, " (expected ",
-               kTraceFormatVersionV1, " or ", kTraceFormatVersion, ")");
+    if (got != kHeaderBytes)
+        blab_fatal("truncated trace stream");
+    const std::uint8_t *p = raw + sizeof(kMagic) + 4;
+    return Header{loadLe64(p), loadLe64(p + 8), loadLe64(p + 16)};
 }
 
 std::vector<BranchEvent>
-readBodyV2(std::istream &is, const HeaderV2 &header)
+readBody(std::istream &is, const Header &header)
 {
     std::string payload(header.payloadSize, '\0');
     is.read(payload.data(),
@@ -335,17 +241,7 @@ std::size_t
 writeTrace(std::ostream &os, const std::vector<BranchEvent> &events,
            std::uint64_t content_hash)
 {
-    const std::string payload = encodeEventsV2(events);
-    os.write(kMagic, sizeof(kMagic));
-    putU32(os, kTraceFormatVersion);
-    putU64(os, content_hash);
-    putU64(os, events.size());
-    putU64(os, payload.size());
-    os.write(payload.data(),
-             static_cast<std::streamsize>(payload.size()));
-    if (!os)
-        blab_fatal("trace write failed");
-    return sizeof(kMagic) + 4 + 3 * 8 + payload.size();
+    return writeTrace(os, SoaTrace::fromEvents(events), content_hash);
 }
 
 std::size_t
@@ -353,29 +249,17 @@ writeTrace(std::ostream &os, const SoaTrace &events,
            std::uint64_t content_hash)
 {
     const std::string payload = encodeEventsV2(events);
-    os.write(kMagic, sizeof(kMagic));
-    putU32(os, kTraceFormatVersion);
-    putU64(os, content_hash);
-    putU64(os, events.size());
-    putU64(os, payload.size());
+    std::string header(kMagic, sizeof(kMagic));
+    appendLe32(header, kTraceFormatVersion);
+    appendLe64(header, content_hash);
+    appendLe64(header, events.size());
+    appendLe64(header, payload.size());
+    os.write(header.data(), static_cast<std::streamsize>(header.size()));
     os.write(payload.data(),
              static_cast<std::streamsize>(payload.size()));
     if (!os)
         blab_fatal("trace write failed");
-    return sizeof(kMagic) + 4 + 3 * 8 + payload.size();
-}
-
-std::size_t
-writeTraceV1(std::ostream &os, const std::vector<BranchEvent> &events)
-{
-    os.write(kMagic, sizeof(kMagic));
-    putU32(os, kTraceFormatVersionV1);
-    putU64(os, events.size());
-    for (const BranchEvent &event : events)
-        putEventV1(os, event);
-    if (!os)
-        blab_fatal("trace write failed");
-    return sizeof(kMagic) + 4 + 8 + events.size() * kEventBytesV1;
+    return header.size() + payload.size();
 }
 
 void
@@ -383,10 +267,7 @@ writeTraceFile(const std::string &path,
                const std::vector<BranchEvent> &events,
                std::uint64_t content_hash)
 {
-    std::ofstream file(path, std::ios::binary);
-    if (!file)
-        blab_fatal("cannot open '", path, "' for writing");
-    writeTrace(file, events, content_hash);
+    writeTraceFile(path, SoaTrace::fromEvents(events), content_hash);
 }
 
 void
@@ -402,16 +283,7 @@ writeTraceFile(const std::string &path, const SoaTrace &stream,
 std::vector<BranchEvent>
 readTrace(std::istream &is)
 {
-    std::uint64_t count_v1 = 0;
-    HeaderV2 v2;
-    if (readHeader(is, count_v1, v2) == kTraceFormatVersionV1) {
-        std::vector<BranchEvent> events;
-        events.reserve(count_v1);
-        for (std::uint64_t i = 0; i < count_v1; ++i)
-            events.push_back(getEventV1(is));
-        return events;
-    }
-    return readBodyV2(is, v2);
+    return readBody(is, readHeader(is));
 }
 
 std::vector<BranchEvent>
@@ -426,14 +298,7 @@ readTraceFile(const std::string &path)
 std::size_t
 replayTrace(std::istream &is, TraceSink &sink)
 {
-    std::uint64_t count_v1 = 0;
-    HeaderV2 v2;
-    if (readHeader(is, count_v1, v2) == kTraceFormatVersionV1) {
-        for (std::uint64_t i = 0; i < count_v1; ++i)
-            sink.onBranch(getEventV1(is));
-        return count_v1;
-    }
-    const std::vector<BranchEvent> events = readBodyV2(is, v2);
+    const std::vector<BranchEvent> events = readTrace(is);
     for (const BranchEvent &event : events)
         sink.onBranch(event);
     return events.size();

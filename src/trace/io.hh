@@ -5,15 +5,8 @@
  * trace-driven studies like the paper's (profile once, evaluate every
  * scheme over the same stream).
  *
- * Two on-disk versions are readable:
+ * On-disk format (version 2, columnar; all integers little-endian):
  *
- *  v1 (legacy, fixed-width records):
- *   header:  magic "BLTR", u32 version = 1, u64 event count
- *   events:  u64 pc, u64 nextPc, u64 targetAddr, u64 fallthroughAddr,
- *            u8 opcode, u8 flags (bit0 conditional, bit1 taken,
- *            bit2 targetKnown)
- *
- *  v2 (current, columnar, ~6-10x smaller):
  *   header:  magic "BLTR", u32 version = 2, u64 content hash,
  *            u64 event count, u64 payload byte count
  *   payload: column-wise --
@@ -50,11 +43,9 @@
 namespace branchlab::trace
 {
 
-/** Current on-disk format version (columnar). */
+/** The on-disk format version (columnar). Version 1, the retired
+ *  fixed-record format, is refused like any other unknown version. */
 inline constexpr std::uint32_t kTraceFormatVersion = 2;
-
-/** The legacy fixed-record format, still readable. */
-inline constexpr std::uint32_t kTraceFormatVersionV1 = 1;
 
 /** Serialize events to a stream (v2). @return bytes written. */
 std::size_t writeTrace(std::ostream &os,
@@ -66,11 +57,6 @@ std::size_t writeTrace(std::ostream &os,
 std::size_t writeTrace(std::ostream &os, const SoaTrace &events,
                        std::uint64_t content_hash = 0);
 
-/** Serialize in the legacy v1 fixed-record format (compatibility and
- *  format tests). @return bytes written. */
-std::size_t writeTraceV1(std::ostream &os,
-                         const std::vector<BranchEvent> &events);
-
 /** Serialize to a file (v2); fatal on I/O failure. */
 void writeTraceFile(const std::string &path,
                     const std::vector<BranchEvent> &events,
@@ -81,8 +67,8 @@ void writeTraceFile(const std::string &path, const SoaTrace &stream,
                     std::uint64_t content_hash = 0);
 
 /**
- * Deserialize a stream written by writeTrace or writeTraceV1. Fatal
- * on bad magic, unsupported version, truncation, or corruption.
+ * Deserialize a stream written by writeTrace. Fatal on bad magic,
+ * unsupported version, truncation, or corruption.
  */
 std::vector<BranchEvent> readTrace(std::istream &is);
 
@@ -90,15 +76,13 @@ std::vector<BranchEvent> readTrace(std::istream &is);
 std::vector<BranchEvent> readTraceFile(const std::string &path);
 
 /**
- * Stream events from a serialized trace directly into a sink.
- * v1 streams decode record by record without materialising the
- * vector; v2 decodes its (much smaller) columns first.
- * @return events delivered.
+ * Stream events from a serialized trace into a sink (the columns
+ * decode first). @return events delivered.
  */
 std::size_t replayTrace(std::istream &is, TraceSink &sink);
 
 /**
- * The v2 column codec, shared with the trace cache. encode returns
+ * The v2 column codec of the trace file payload. encode returns
  * the payload bytes for the given events; decode parses a payload of
  * @p count events, returning false (with a diagnostic in @p error)
  * on truncation or corruption instead of failing fatally.

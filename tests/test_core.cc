@@ -13,6 +13,7 @@
 #include "core/tables.hh"
 #include "predict/sbtb.hh"
 #include "support/logging.hh"
+#include "two_pass_oracle.hh"
 
 namespace branchlab::core
 {
@@ -190,15 +191,14 @@ TEST(ExperimentRunner, ReplayEngineMatchesTheTwoPassEngine)
     config.runCodeSize = true;
 
     ExperimentConfig two_pass = config;
-    two_pass.engine = EngineMode::TwoPass;
     // The seed engine also scanned BTB ways linearly; pin that to
     // prove the full seed configuration is reproduced bit-for-bit.
     two_pass.btb.lookup = predict::LookupStrategy::Linear;
 
     const BenchmarkResult a = ExperimentRunner(config).runBenchmark(
         workloads::findWorkload("wc"));
-    const BenchmarkResult b = ExperimentRunner(two_pass).runBenchmark(
-        workloads::findWorkload("wc"));
+    const BenchmarkResult b = test::runTwoPassBenchmark(
+        two_pass, workloads::findWorkload("wc"));
     expectIdenticalResults({a}, {b});
 }
 
@@ -239,15 +239,11 @@ TEST(ExperimentRunner, EnginesAgreeUnderNonDefaultConfigs)
         config.btb = variant.btb;
         config.counter = variant.counter;
 
-        ExperimentConfig two_pass = config;
-        two_pass.engine = EngineMode::TwoPass;
-
         const BenchmarkResult a =
             ExperimentRunner(config).runBenchmark(
                 workloads::findWorkload("tee"));
-        const BenchmarkResult b =
-            ExperimentRunner(two_pass).runBenchmark(
-                workloads::findWorkload("tee"));
+        const BenchmarkResult b = test::runTwoPassBenchmark(
+            config, workloads::findWorkload("tee"));
         expectIdenticalResults({a}, {b});
     }
 }

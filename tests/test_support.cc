@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for the support substrate: logging, deterministic
- * random numbers, statistics, strings, and table rendering.
+ * random numbers, statistics, strings, table rendering, the
+ * durable-directory layer and the little-endian codec.
  */
 
 #include <gtest/gtest.h>
@@ -13,10 +14,14 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <filesystem>
+#include <fstream>
 #include <numeric>
 #include <thread>
 
 #include "obs/metrics.hh"
+#include "support/durable_dir.hh"
+#include "support/le_codec.hh"
 #include "support/logging.hh"
 #include "support/random.hh"
 #include "support/stats.hh"
@@ -671,6 +676,186 @@ TEST(Timer, ScopeTimerAccumulatesIntoTarget)
         ScopeTimer timer(&total);
     }
     EXPECT_GE(total, once); // accumulates, not overwrites
+}
+
+// ---------------------------------------------------------------------
+// Durable directories.
+// ---------------------------------------------------------------------
+
+TEST(DurableDir, PublishesIntoShardsAndCleansUpFailedWrites)
+{
+    const std::string root = ::testing::TempDir() + "blab_durable_dir";
+    std::filesystem::remove_all(root);
+    const DurableDir dir(root, "test.durable", ".blob");
+    EXPECT_EQ(hash16(0xab12ULL), "000000000000ab12");
+    const std::string path = dir.shardPath(0xcd00000000000001ULL, "x.blob");
+    EXPECT_EQ(path, root + "/cd/x.blob");
+
+    const auto write = [](const std::string &tmp) {
+        return static_cast<bool>(std::ofstream(tmp) << "payload");
+    };
+    const DurableDir::PublishResult ok = dir.publish(
+        path, write, DurableDir::OnSyncFailure::Discard);
+    EXPECT_TRUE(ok.published);
+    EXPECT_EQ(dir.storeFiles(), std::vector<std::string>{path});
+
+    obs::Counter &evicted =
+        obs::Registry::global().counter("test.durable.tmp_evicted");
+    const std::uint64_t evicted_before = evicted.value();
+    const DurableDir::PublishResult failed = dir.publish(
+        root + "/cd/y.blob",
+        [](const std::string &tmp) {
+            std::ofstream(tmp) << "torn";
+            return false;
+        },
+        DurableDir::OnSyncFailure::Publish);
+    EXPECT_FALSE(failed.published);
+    EXPECT_EQ(evicted.value(), evicted_before + 1);
+    // Only the published file remains: the failed temp is gone.
+    std::size_t files = 0;
+    for (const auto &entry :
+         std::filesystem::recursive_directory_iterator(root))
+        files += entry.is_regular_file() ? 1 : 0;
+    EXPECT_EQ(files, 1u);
+    std::filesystem::remove_all(root);
+}
+
+/** A published store file of @p size bytes whose mtime is @p age old. */
+std::string
+plantStoreFile(const DurableDir &dir, std::uint64_t hash,
+               const std::string &name, std::size_t size,
+               std::chrono::seconds age)
+{
+    const std::string path = dir.shardPath(hash, name);
+    std::filesystem::create_directories(
+        std::filesystem::path(path).parent_path());
+    std::ofstream(path, std::ios::binary) << std::string(size, 'x');
+    std::filesystem::last_write_time(
+        path, std::filesystem::file_time_type::clock::now() - age);
+    return path;
+}
+
+TEST(DurableDir, ByteCapEvictsOldestFirstButNeverOwnPublishes)
+{
+    const std::string root = ::testing::TempDir() + "blab_durable_cap";
+    std::filesystem::remove_all(root);
+    const DurableDir dir(root, "test.durable_cap", ".blob");
+    using std::chrono::seconds;
+    const std::string oldest =
+        plantStoreFile(dir, 0x1100000000000000ULL, "a.blob", 100,
+                       seconds(400));
+    const std::string older =
+        plantStoreFile(dir, 0x2200000000000000ULL, "b.blob", 100,
+                       seconds(300));
+    const std::string newer =
+        plantStoreFile(dir, 0x3300000000000000ULL, "c.blob", 100,
+                       seconds(200));
+    // Not a store file: the cap neither counts nor evicts it.
+    plantStoreFile(dir, 0x3300000000000000ULL, "c.other", 1000,
+                   seconds(900));
+
+    obs::Counter &evictions =
+        obs::Registry::global().counter("test.durable_cap.evictions");
+    const std::uint64_t before = evictions.value();
+
+    // 0 means unbounded: nothing is walked or removed.
+    dir.enforceByteCap(0, {});
+    EXPECT_EQ(dir.storeFiles().size(), 3u);
+
+    // 300 bytes under a 250-byte cap: the oldest file goes first.
+    dir.enforceByteCap(250, {});
+    EXPECT_EQ(dir.storeFiles(), (std::vector<std::string>{older, newer}));
+    EXPECT_EQ(evictions.value(), before + 1);
+
+    // A cap smaller than one file still keeps the caller's own
+    // publish, even when it is the stalest file left.
+    dir.enforceByteCap(1, {older});
+    EXPECT_EQ(dir.storeFiles(), std::vector<std::string>{older});
+    EXPECT_EQ(evictions.value(), before + 2);
+    EXPECT_TRUE(std::filesystem::exists(
+        std::filesystem::path(newer).parent_path() / "c.other"));
+    std::filesystem::remove_all(root);
+}
+
+TEST(DurableDir, WeightBreaksMtimeTiesLeastWeightPerByteFirst)
+{
+    const std::string root = ::testing::TempDir() + "blab_durable_weight";
+    const DurableDir dir(root, "test.durable_weight", ".blob");
+    // Equal mtimes and sizes: the file that is cheaper to recompute
+    // per byte is evicted. Both shard orders are tried, so the result
+    // cannot come from the walk order alone.
+    for (const bool cheap_first : {true, false}) {
+        std::filesystem::remove_all(root);
+        const std::string a = plantStoreFile(
+            dir, 0x4400000000000000ULL, "a.blob", 100,
+            std::chrono::seconds(60));
+        const std::string b = plantStoreFile(
+            dir, 0x5500000000000000ULL, "b.blob", 100,
+            std::chrono::seconds(60));
+        std::filesystem::last_write_time(
+            b, std::filesystem::last_write_time(a));
+        const std::string &cheap = cheap_first ? a : b;
+        const std::string &dear = cheap_first ? b : a;
+        dir.enforceByteCap(150, {},
+                           [&](const std::filesystem::path &path) {
+                               return path.string() == cheap
+                                          ? std::uint64_t{2}
+                                          : std::uint64_t{50};
+                           });
+        EXPECT_EQ(dir.storeFiles(), std::vector<std::string>{dear})
+            << "cheap_first=" << cheap_first;
+    }
+    std::filesystem::remove_all(root);
+}
+
+// ---------------------------------------------------------------------
+// Little-endian codec.
+// ---------------------------------------------------------------------
+
+TEST(LeCodec, AppendsLittleEndianBytesAndLoadsThemBack)
+{
+    std::string out;
+    appendLe16(out, 0x0102);
+    appendLe32(out, 0x03040506u);
+    appendLe64(out, 0x0708090a0b0c0d0eULL);
+    appendLeF64(out, -0.0);
+    const std::string expected_ints("\x02\x01"
+                                    "\x06\x05\x04\x03"
+                                    "\x0e\x0d\x0c\x0b\x0a\x09\x08\x07",
+                                    14);
+    ASSERT_EQ(out.size(), 22u);
+    EXPECT_EQ(out.substr(0, 14), expected_ints);
+    // -0.0 is only its sign bit, the last byte in little-endian order.
+    EXPECT_EQ(out.substr(14), std::string("\0\0\0\0\0\0\0\x80", 8));
+
+    const auto *p = reinterpret_cast<const std::uint8_t *>(out.data());
+    EXPECT_EQ(loadLe16(p), 0x0102);
+    EXPECT_EQ(loadLe32(p + 2), 0x03040506u);
+    EXPECT_EQ(loadLe64(p + 6), 0x0708090a0b0c0d0eULL);
+    const double zero = loadLeF64(p + 14);
+    EXPECT_EQ(zero, 0.0);
+    EXPECT_TRUE(std::signbit(zero));
+}
+
+TEST(LeCodec, ReaderRefusesShortReadsWithoutConsuming)
+{
+    std::string data;
+    appendLe32(data, 7);
+    data += "ab";
+    LeReader reader(data);
+    std::uint64_t wide = 99;
+    EXPECT_FALSE(reader.u64(wide)); // 6 bytes left: too short
+    EXPECT_EQ(wide, 99u);
+    std::uint32_t narrow = 0;
+    ASSERT_TRUE(reader.u32(narrow)); // the failed read consumed nothing
+    EXPECT_EQ(narrow, 7u);
+    std::string tail;
+    EXPECT_FALSE(reader.bytes(3, tail));
+    ASSERT_TRUE(reader.bytes(2, tail));
+    EXPECT_EQ(tail, "ab");
+    EXPECT_TRUE(reader.exhausted());
+    std::uint8_t byte = 0;
+    EXPECT_FALSE(reader.u8(byte));
 }
 
 } // namespace

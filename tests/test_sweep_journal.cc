@@ -1,13 +1,11 @@
 /**
  * @file
- * Tests for the productionized sweep journal, mirroring
- * test_trace_cache: segment round trips, truncation and checksum
- * damage (Corrupt: warn + counter, keep the verified prefix),
- * foreign versions/feature bits (quiet refusal), legacy v1 compat
- * (including the backported integrity check), byte-cap LRU eviction,
- * stale-temp reclamation, env resolution, thread safety, and a
- * mapped-vs-v1 resume bit-identity differential over a >= 100-point
- * grid.
+ * Tests for the sweep journal, mirroring test_trace_cache: segment
+ * round trips, truncation and checksum damage (Corrupt: warn +
+ * counter, keep the verified prefix), foreign versions/feature bits
+ * (quiet refusal), files of the retired per-point format (ignored,
+ * points re-evaluate), byte-cap LRU eviction, stale-temp reclamation
+ * in both durable stores, env resolution, and thread safety.
  */
 
 #include <gtest/gtest.h>
@@ -16,13 +14,19 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <thread>
 #include <vector>
 
+#include "core/runner.hh"
 #include "core/sweep.hh"
 #include "core/sweep_journal.hh"
 #include "obs/metrics.hh"
+#include "support/durable_dir.hh"
+#include "support/le_codec.hh"
 #include "support/logging.hh"
+#include "trace/cache.hh"
+#include "workloads/workload.hh"
 
 namespace branchlab::core
 {
@@ -234,92 +238,73 @@ TEST(SweepJournalSegments, ForeignContainerVersionRefusesQuietly)
     EXPECT_FALSE(journal.load(1, cells));
 }
 
-TEST(SweepJournalLegacy, V1EntriesStillLoad)
+/** A file of the retired per-point format ("BLSJ", schema, key,
+ *  count, cells; no checksum) holding @p cells under @p key. */
+std::string
+retiredPointFile(std::uint64_t key, const std::vector<SweepCell> &cells)
 {
-    const std::string dir = makeDir("v1_load");
-    std::filesystem::create_directories(dir);
-    SweepJournal journal(dir);
-    const std::vector<SweepCell> cells = makeCells(7);
-    {
-        std::ofstream file(journal.legacyEntryPath(7),
-                           std::ios::binary | std::ios::trunc);
-        const std::string data = encodeJournalEntryV1(7, cells);
-        file.write(data.data(),
-                   static_cast<std::streamsize>(data.size()));
+    std::string data = "BLSJ";
+    appendLe64(data, kJournalSchemaVersion);
+    appendLe64(data, key);
+    appendLe64(data, cells.size());
+    for (const SweepCell &cell : cells) {
+        for (const double v :
+             {cell.sbtbAccuracy, cell.sbtbMissRatio, cell.cbtbAccuracy,
+              cell.cbtbMissRatio, cell.fsAccuracy, cell.codeIncrease})
+            appendLeF64(data, v);
     }
-    std::vector<SweepCell> loaded;
-    ASSERT_TRUE(journal.load(7, loaded));
-    EXPECT_EQ(loaded, cells);
+    return data;
 }
 
-TEST(SweepJournalLegacy, V1BitFlippedCellsAreRejectedNotTrusted)
+TEST(SweepJournalRetiredFormat, PerPointFilesAreIgnoredAndReEvaluated)
 {
-    const std::string dir = makeDir("v1_bitflip");
-    std::filesystem::create_directories(dir);
-    SweepJournal journal(dir);
-    {
-        std::ofstream file(journal.legacyEntryPath(9),
-                           std::ios::binary | std::ios::trunc);
-        const std::string data =
-            encodeJournalEntryV1(9, makeCells(9));
-        file.write(data.data(),
-                   static_cast<std::streamsize>(data.size()));
+    SweepConfig config;
+    config.axes.btbEntries = {16, 64};
+    config.axes.counterThresholds = {1, 2};
+    config.workloads = {"tee", "cmp"};
+    config.base.runsOverride = 1;
+    const SweepResult cold = runSweep(config);
+    ASSERT_EQ(cold.points.size(), 4u);
+
+    // Plant a per-point file with wrong cells for every grid point: a
+    // reader that still trusted the format would resume garbage.
+    config.journalDir = makeDir("retired");
+    std::filesystem::create_directories(config.journalDir);
+    std::vector<std::uint64_t> hashes;
+    for (const std::string &name : cold.workloads)
+        hashes.push_back(workloadContentHash(
+            workloads::findWorkload(name), config.base));
+    std::vector<std::uint64_t> keys;
+    for (const SweepPointResult &point : cold.points) {
+        keys.push_back(sweepPointKey(point.point, cold.workloads, hashes));
+        std::ofstream(config.journalDir + "/point-" +
+                          hash16(keys.back()) + ".blsj",
+                      std::ios::binary)
+            << retiredPointFile(keys.back(), makeCells(keys.back()));
     }
-    // v1 has no checksum; flip the sign/exponent byte of the first
-    // cell double (header is 4 + 3 * 8 = 28 bytes). The backported
-    // domain check must reject it instead of resuming garbage.
-    patchByte(journal.legacyEntryPath(9), 28 + 7, 0x80);
 
     const std::uint64_t corrupt_before =
         counterValue("sweep.journal.corrupt");
     resetWarningCount();
-    std::vector<SweepCell> loaded;
-    EXPECT_FALSE(journal.load(9, loaded));
-    EXPECT_GE(warningCount(), 1u);
-    EXPECT_EQ(counterValue("sweep.journal.corrupt"),
-              corrupt_before + 1);
-}
-
-TEST(SweepJournalLegacy, V1SchemaMismatchIsForeignNotCorrupt)
-{
-    const std::string dir = makeDir("v1_schema");
-    std::filesystem::create_directories(dir);
-    SweepJournal journal(dir);
     {
-        std::ofstream file(journal.legacyEntryPath(5),
-                           std::ios::binary | std::ios::trunc);
-        const std::string data =
-            encodeJournalEntryV1(5, makeCells(5));
-        file.write(data.data(),
-                   static_cast<std::streamsize>(data.size()));
+        SweepJournal journal(config.journalDir);
+        std::vector<SweepCell> cells;
+        for (const std::uint64_t key : keys)
+            EXPECT_FALSE(journal.load(key, cells));
     }
-    // The schema version is the u64 at offset 4; a bumped schema is
-    // another build's journal, not damage.
-    patchByte(journal.legacyEntryPath(5), 4, 0x40);
-
-    const std::uint64_t foreign_before =
-        counterValue("sweep.journal.foreign");
-    const std::uint64_t corrupt_before =
-        counterValue("sweep.journal.corrupt");
-    resetWarningCount();
-    std::vector<SweepCell> loaded;
-    EXPECT_FALSE(journal.load(5, loaded));
-    EXPECT_EQ(warningCount(), 0u);
-    EXPECT_EQ(counterValue("sweep.journal.foreign"),
-              foreign_before + 1);
     EXPECT_EQ(counterValue("sweep.journal.corrupt"), corrupt_before);
+    EXPECT_EQ(warningCount(), 0u);
 
-    // decodeJournalEntryV1 classifies directly, too.
-    std::string error;
-    const std::string data = encodeJournalEntryV1(5, makeCells(5));
-    std::string patched = data;
-    patched[4] = static_cast<char>(patched[4] ^ 0x40);
-    EXPECT_EQ(decodeJournalEntryV1(patched, 5, loaded, error),
-              JournalFailure::Foreign);
-    EXPECT_EQ(decodeJournalEntryV1(data, 5, loaded, error),
-              JournalFailure::None);
-    EXPECT_EQ(decodeJournalEntryV1("garbage", 5, loaded, error),
-              JournalFailure::Corrupt);
+    // Every point re-evaluates, then resumes from real segments; both
+    // grids match the uninterrupted one byte for byte.
+    const SweepResult first = runSweep(config);
+    EXPECT_EQ(first.stats.evaluated, cold.points.size());
+    EXPECT_EQ(first.stats.resumed, 0u);
+    const SweepResult resumed = runSweep(config);
+    EXPECT_EQ(resumed.stats.resumed, cold.points.size());
+    const std::string csv = sweepToCsv(cold);
+    EXPECT_EQ(sweepToCsv(first), csv);
+    EXPECT_EQ(sweepToCsv(resumed), csv);
 }
 
 TEST(SweepJournalEviction, ByteCapEvictsLeastRecentlyUsedFirst)
@@ -384,50 +369,69 @@ TEST(SweepJournalEviction, ByteCapEvictsLeastRecentlyUsedFirst)
 TEST(SweepJournalEviction, ResolveMaxBytesPrefersConfigThenEnv)
 {
     unsetenv("BRANCHLAB_SWEEP_JOURNAL_MAX_BYTES");
-    EXPECT_EQ(SweepJournal::resolveMaxBytes(123), 123u);
-    EXPECT_EQ(SweepJournal::resolveMaxBytes(0), 0u);
+    EXPECT_EQ(resolveByteCap(123, kJournalMaxBytesEnv), 123u);
+    EXPECT_EQ(resolveByteCap(0, kJournalMaxBytesEnv), 0u);
 
     setenv("BRANCHLAB_SWEEP_JOURNAL_MAX_BYTES", "4096", 1);
-    EXPECT_EQ(SweepJournal::resolveMaxBytes(0), 4096u);
-    EXPECT_EQ(SweepJournal::resolveMaxBytes(123), 123u);
+    EXPECT_EQ(resolveByteCap(0, kJournalMaxBytesEnv), 4096u);
+    EXPECT_EQ(resolveByteCap(123, kJournalMaxBytesEnv), 123u);
 
     setenv("BRANCHLAB_SWEEP_JOURNAL_MAX_BYTES", "not-a-number", 1);
     resetWarningCount();
-    EXPECT_EQ(SweepJournal::resolveMaxBytes(0), 0u);
+    EXPECT_EQ(resolveByteCap(0, kJournalMaxBytesEnv), 0u);
     EXPECT_GE(warningCount(), 1u);
     unsetenv("BRANCHLAB_SWEEP_JOURNAL_MAX_BYTES");
 }
 
+/** Both durable stores -- the journal on open, the trace cache on
+ *  store -- reclaim the orphaned temps of killed writers and keep the
+ *  young temps of live ones. */
 TEST(SweepJournalTemps, StaleTempsAreReclaimedFreshOnesKept)
 {
-    const std::string dir = makeDir("temps");
-    std::filesystem::create_directories(dir);
-    const std::string stale =
-        dir + "/seg-dead.blsg.tmp-99999-0";
-    const std::string fresh =
-        dir + "/seg-beef.blsg.tmp-99999-1";
+    struct Store
     {
-        std::ofstream(stale) << "torn";
-        std::ofstream(fresh) << "in-flight";
-    }
-    std::error_code ec;
-    std::filesystem::last_write_time(
-        stale,
-        std::filesystem::file_time_type::clock::now() -
-            std::chrono::hours(1),
-        ec);
-    ASSERT_FALSE(ec);
+        const char *tag;
+        const char *counter;
+        std::function<void(const std::string &)> touch;
+    };
+    const Store stores[] = {
+        {"journal", "sweep.journal.tmp_reclaimed",
+         [](const std::string &dir) { SweepJournal(dir).open(); }},
+        {"cache", "trace_cache.tmp_reclaimed",
+         [](const std::string &dir) {
+             trace::CachedWorkload workload;
+             workload.contentHash = 42;
+             workload.runs = 1;
+             trace::TraceCache(dir).store("empty", workload);
+         }},
+    };
+    for (const Store &store : stores) {
+        SCOPED_TRACE(store.tag);
+        const std::string dir = makeDir(std::string("temps_") + store.tag);
+        std::filesystem::create_directories(dir + "/ab");
+        const std::string stale = dir + "/ab/seg-dead.blsg.tmp-99999-0";
+        const std::string fresh = dir + "/ab/seg-beef.blsg.tmp-99999-1";
+        {
+            std::ofstream(stale) << "torn";
+            std::ofstream(fresh) << "in-flight";
+        }
+        std::error_code ec;
+        std::filesystem::last_write_time(
+            stale,
+            std::filesystem::file_time_type::clock::now() -
+                std::chrono::hours(1),
+            ec);
+        ASSERT_FALSE(ec);
 
-    const std::uint64_t reclaimed_before =
-        counterValue("sweep.journal.tmp_reclaimed");
-    SweepJournal journal(dir);
-    journal.open();
-    EXPECT_EQ(counterValue("sweep.journal.tmp_reclaimed"),
-              reclaimed_before + 1);
-    // The orphan of a killed run is gone; a temp young enough to
-    // belong to a live concurrent writer survives.
-    EXPECT_FALSE(std::filesystem::exists(stale, ec));
-    EXPECT_TRUE(std::filesystem::exists(fresh, ec));
+        const std::uint64_t reclaimed_before =
+            counterValue(store.counter);
+        store.touch(dir);
+        EXPECT_EQ(counterValue(store.counter), reclaimed_before + 1);
+        // The orphan of a killed run is gone; a temp young enough to
+        // belong to a live concurrent writer survives.
+        EXPECT_FALSE(std::filesystem::exists(stale, ec));
+        EXPECT_TRUE(std::filesystem::exists(fresh, ec));
+    }
 }
 
 TEST(SweepJournalConcurrency, ParallelStoresAllPersist)
@@ -453,66 +457,6 @@ TEST(SweepJournalConcurrency, ParallelStoresAllPersist)
         ASSERT_TRUE(journal.load(key, cells)) << key;
         EXPECT_EQ(cells, makeCells(key));
     }
-}
-
-/** The >= 100-point mapped-vs-v1 differential: a sweep journalled
- *  through the legacy v1 writer and one journalled through the
- *  segment writer must resume to byte-identical CSV grids (and to
- *  the uninterrupted cold grid). This is the upgrade-compat gate in
- *  miniature: store with the old format, resume with the new code. */
-TEST(SweepJournalResume, MappedAndV1JournalsResumeBitIdentically)
-{
-    SweepConfig config;
-    config.axes.btbEntries = {16, 32, 64, 128, 256};
-    config.axes.btbAssociativity = {0, 2};
-    config.axes.btbPolicies = {predict::ReplacementPolicy::Lru,
-                               predict::ReplacementPolicy::Fifo,
-                               predict::ReplacementPolicy::Random};
-    config.axes.counterThresholds = {1, 2};
-    config.axes.fsSlots = {1, 2};
-    config.workloads = {"tee", "cmp"};
-    config.base.runsOverride = 1;
-
-    // Cold reference, no journal.
-    SweepConfig reference = config;
-    const SweepResult cold = runSweep(reference);
-    ASSERT_GE(cold.points.size(), 100u);
-
-    // Journal the grid through the LEGACY v1 writer...
-    config.journalDir = makeDir("differential_v1");
-    setenv("BRANCHLAB_SWEEP_JOURNAL_FORMAT", "v1", 1);
-    const SweepResult v1_cold = runSweep(config);
-    unsetenv("BRANCHLAB_SWEEP_JOURNAL_FORMAT");
-    EXPECT_EQ(v1_cold.stats.evaluated, cold.points.size());
-    // ...and the journal directory holds per-point files, no
-    // segments.
-    EXPECT_TRUE(segmentFiles(config.journalDir).empty());
-
-    // The new code resumes the v1 journal entry by entry.
-    const SweepResult v1_resumed = runSweep(config);
-    EXPECT_EQ(v1_resumed.stats.resumed, cold.points.size());
-    EXPECT_EQ(v1_resumed.stats.evaluated, 0u);
-
-    // The same sweep journalled through the segment writer.
-    config.journalDir = makeDir("differential_v2");
-    const SweepResult v2_cold = runSweep(config);
-    EXPECT_EQ(v2_cold.stats.evaluated, cold.points.size());
-    EXPECT_FALSE(segmentFiles(config.journalDir).empty());
-    const std::uint64_t mapped_before =
-        counterValue("sweep.journal.bytes_mapped");
-    const SweepResult v2_resumed = runSweep(config);
-    EXPECT_EQ(v2_resumed.stats.resumed, cold.points.size());
-    EXPECT_EQ(v2_resumed.stats.evaluated, 0u);
-    // The mapped resume actually mapped.
-    EXPECT_GT(counterValue("sweep.journal.bytes_mapped"),
-              mapped_before);
-
-    // Bit-identity across every path.
-    const std::string csv = sweepToCsv(cold);
-    EXPECT_EQ(sweepToCsv(v1_cold), csv);
-    EXPECT_EQ(sweepToCsv(v1_resumed), csv);
-    EXPECT_EQ(sweepToCsv(v2_cold), csv);
-    EXPECT_EQ(sweepToCsv(v2_resumed), csv);
 }
 
 } // namespace

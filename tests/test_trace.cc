@@ -159,7 +159,7 @@ TEST(TraceStats, CountersRoundTripLosslessly)
 }
 
 // ---------------------------------------------------------------------
-// Trace formats: the v2 columnar codec and v1 compatibility.
+// Trace formats: the v2 columnar codec.
 // ---------------------------------------------------------------------
 
 void
@@ -189,24 +189,24 @@ recordFactorialTrace()
     return recorder.takeEvents();
 }
 
-TEST(TraceIoV2, V1AndV2ReadBackBitEquivalently)
+TEST(TraceIoV2, WriteThenReadIsBitEquivalent)
 {
     const std::vector<BranchEvent> events = recordFactorialTrace();
     ASSERT_FALSE(events.empty());
 
-    std::stringstream v1, v2;
-    const std::size_t v1_bytes = writeTraceV1(v1, events);
+    std::stringstream v2;
     const std::size_t v2_bytes = writeTrace(v2, events, 0xfeedu);
-    EXPECT_EQ(v1_bytes, v1.str().size());
     EXPECT_EQ(v2_bytes, v2.str().size());
     // The columnar layout is the point: several times smaller than
-    // the 34-byte fixed records.
-    EXPECT_LT(v2_bytes, v1_bytes / 4);
+    // 34-byte fixed records would be.
+    EXPECT_LT(v2_bytes, events.size() * 34 / 4);
+    expectSameEvents(readTrace(v2), events);
 
-    const std::vector<BranchEvent> from_v1 = readTrace(v1);
-    const std::vector<BranchEvent> from_v2 = readTrace(v2);
-    expectSameEvents(from_v1, events);
-    expectSameEvents(from_v2, events);
+    // The retired fixed-record version 1 is refused, not decoded.
+    std::string v1 = v2.str();
+    v1[4] = '\x01';
+    std::stringstream v1_stream(v1);
+    EXPECT_THROW(readTrace(v1_stream), ConfigFailure);
 }
 
 TEST(TraceIoV2, AnomalousNextPcRoundTrips)
@@ -281,18 +281,18 @@ TEST(TraceIoV2, RejectsTruncatedV2Stream)
     EXPECT_THROW(readTrace(truncated), ConfigFailure);
 }
 
-TEST(TraceIoV2, ReplayHandlesBothVersions)
+TEST(TraceIoV2, ReplayDeliversEveryEvent)
 {
     const std::vector<BranchEvent> events = recordFactorialTrace();
-    std::stringstream v1, v2;
-    writeTraceV1(v1, events);
+    std::stringstream v2;
     writeTrace(v2, events);
 
-    TraceStats from_v1, from_v2;
-    EXPECT_EQ(replayTrace(v1, from_v1), events.size());
-    EXPECT_EQ(replayTrace(v2, from_v2), events.size());
-    EXPECT_EQ(from_v1.branches(), from_v2.branches());
-    EXPECT_EQ(from_v1.conditionalTaken(), from_v2.conditionalTaken());
+    TraceStats replayed, direct;
+    EXPECT_EQ(replayTrace(v2, replayed), events.size());
+    for (const BranchEvent &event : events)
+        direct.onBranch(event);
+    EXPECT_EQ(replayed.branches(), direct.branches());
+    EXPECT_EQ(replayed.conditionalTaken(), direct.conditionalTaken());
 }
 
 // ---------------------------------------------------------------------

@@ -390,6 +390,25 @@ TEST(TraceCache, MapEntryFileClassifiesCorruptVersusForeign)
     EXPECT_EQ(failure, MapFailure::Foreign);
     patchByte(path, 8, 0x01); // restore
 
+    // Foreign: another format version -- the retired v1 inline entry
+    // or a future v3 -- is refused quietly and re-recorded, never
+    // reported as corrupt.
+    obs::Counter &corrupt =
+        obs::Registry::global().counter("trace_cache.corrupt_entries");
+    for (const unsigned char version_mask : {0x03, 0x01}) { // 1, 3
+        patchByte(path, 4, version_mask);
+        out = CachedWorkload{};
+        EXPECT_FALSE(mapEntryFile(path, stored.contentHash, out, error,
+                                  failure));
+        EXPECT_EQ(failure, MapFailure::Foreign) << error;
+        const std::uint64_t corrupt_before = corrupt.value();
+        resetWarningCount();
+        EXPECT_FALSE(cache.load("fact", stored.contentHash, out));
+        EXPECT_EQ(corrupt.value(), corrupt_before);
+        EXPECT_EQ(warningCount(), 0u);
+        patchByte(path, 4, version_mask); // restore
+    }
+
     // Corrupt: the file ends mid-section.
     std::filesystem::resize_file(
         path, std::filesystem::file_size(path) - 9);
@@ -397,40 +416,6 @@ TEST(TraceCache, MapEntryFileClassifiesCorruptVersusForeign)
     EXPECT_FALSE(
         mapEntryFile(path, stored.contentHash, out, error, failure));
     EXPECT_EQ(failure, MapFailure::Corrupt);
-    std::filesystem::remove_all(dir);
-}
-
-TEST(TraceCache, LegacyV1EntriesStillLoad)
-{
-    const std::string dir = makeCacheDir("legacy");
-    const TraceCache cache(dir);
-    const CachedWorkload stored = makeWorkload();
-
-    // Plant a v1 entry by hand (nothing writes v1 anymore).
-    const std::string path =
-        cache.entryPath("fact", stored.contentHash);
-    std::filesystem::create_directories(
-        std::filesystem::path(path).parent_path());
-    {
-        std::ofstream file(path, std::ios::binary | std::ios::trunc);
-        file << encodeLegacyEntryV1(stored);
-    }
-
-    CachedWorkload loaded;
-    ASSERT_TRUE(cache.load("fact", stored.contentHash, loaded));
-    // v1 entries take the owning decode path, not the mapping.
-    EXPECT_EQ(loaded.mapped, nullptr);
-    EXPECT_EQ(loaded.runs, stored.runs);
-    EXPECT_EQ(loaded.stats, stored.stats);
-    EXPECT_EQ(loaded.likely, stored.likely);
-    ASSERT_EQ(loaded.stream.size(), stored.stream.size());
-    for (std::size_t i = 0; i < loaded.stream.size(); ++i) {
-        const BranchEvent a = loaded.stream.event(i);
-        const BranchEvent b = stored.stream.event(i);
-        EXPECT_EQ(a.pc, b.pc);
-        EXPECT_EQ(a.nextPc, b.nextPc);
-        EXPECT_EQ(a.taken, b.taken);
-    }
     std::filesystem::remove_all(dir);
 }
 
@@ -490,11 +475,11 @@ TEST(TraceCache, ByteCapEvictsLeastRecentlyUsedEntries)
 TEST(TraceCache, ResolveMaxBytesPrefersConfigThenEnvironment)
 {
     unsetenv("BRANCHLAB_TRACE_CACHE_MAX_BYTES");
-    EXPECT_EQ(TraceCache::resolveMaxBytes(123), 123u);
-    EXPECT_EQ(TraceCache::resolveMaxBytes(0), 0u);
+    EXPECT_EQ(resolveByteCap(123, kTraceCacheMaxBytesEnv), 123u);
+    EXPECT_EQ(resolveByteCap(0, kTraceCacheMaxBytesEnv), 0u);
     setenv("BRANCHLAB_TRACE_CACHE_MAX_BYTES", "4096", 1);
-    EXPECT_EQ(TraceCache::resolveMaxBytes(0), 4096u);
-    EXPECT_EQ(TraceCache::resolveMaxBytes(123), 123u);
+    EXPECT_EQ(resolveByteCap(0, kTraceCacheMaxBytesEnv), 4096u);
+    EXPECT_EQ(resolveByteCap(123, kTraceCacheMaxBytesEnv), 123u);
     unsetenv("BRANCHLAB_TRACE_CACHE_MAX_BYTES");
 }
 
