@@ -1,117 +1,21 @@
 #include "serve/client.hh"
 
-#include <arpa/inet.h>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
-#include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
+#include <utility>
 
 #include "support/logging.hh"
 
 namespace branchlab::serve
 {
 
-namespace
-{
+Client::Client(const std::string &address) : fd_(connectTo(address)) {}
 
-bool
-writeAll(int fd, const void *data, std::size_t size)
-{
-    const char *cursor = static_cast<const char *>(data);
-    while (size > 0) {
-        const ssize_t wrote =
-            ::send(fd, cursor, size, MSG_NOSIGNAL);
-        if (wrote < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        cursor += wrote;
-        size -= static_cast<std::size_t>(wrote);
-    }
-    return true;
-}
-
-/** 1 = filled, 0 = clean EOF before the first byte, -1 = failure. */
-int
-readExact(int fd, void *data, std::size_t size)
-{
-    char *cursor = static_cast<char *>(data);
-    std::size_t got = 0;
-    while (got < size) {
-        const ssize_t n = ::read(fd, cursor + got, size - got);
-        if (n == 0)
-            return got == 0 ? 0 : -1;
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return -1;
-        }
-        got += static_cast<std::size_t>(n);
-    }
-    return 1;
-}
-
-} // namespace
-
-Client::Client(const std::string &address)
-{
-    std::string_view spec = address;
-    if (spec.substr(0, 4) == "tcp:") {
-        spec.remove_prefix(4);
-        const std::size_t colon = spec.rfind(':');
-        if (colon == std::string_view::npos)
-            blab_fatal("tcp address needs host:port, got '", address,
-                       "'");
-        const std::string host(spec.substr(0, colon));
-        const int port =
-            std::atoi(std::string(spec.substr(colon + 1)).c_str());
-        fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-        if (fd_ < 0)
-            blab_fatal("socket(): ", std::strerror(errno));
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_port = htons(static_cast<std::uint16_t>(port));
-        const std::string target =
-            host.empty() || host == "0.0.0.0" ? "127.0.0.1" : host;
-        if (::inet_pton(AF_INET, target.c_str(), &addr.sin_addr) != 1)
-            blab_fatal("unparsable tcp host '", target, "'");
-        if (::connect(fd_, reinterpret_cast<const sockaddr *>(&addr),
-                      sizeof addr) != 0) {
-            const int saved = errno;
-            ::close(fd_);
-            fd_ = -1;
-            blab_fatal("connect(", address,
-                       "): ", std::strerror(saved));
-        }
-        return;
-    }
-    if (spec.substr(0, 5) == "unix:")
-        spec.remove_prefix(5);
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (spec.empty() || spec.size() >= sizeof addr.sun_path)
-        blab_fatal("bad unix socket path '", address, "'");
-    std::memcpy(addr.sun_path, spec.data(), spec.size());
-    fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd_ < 0)
-        blab_fatal("socket(): ", std::strerror(errno));
-    if (::connect(fd_, reinterpret_cast<const sockaddr *>(&addr),
-                  sizeof addr) != 0) {
-        const int saved = errno;
-        ::close(fd_);
-        fd_ = -1;
-        blab_fatal("connect(", address, "): ", std::strerror(saved));
-    }
-}
-
-Client::Client(Client &&other) noexcept : fd_(other.fd_)
-{
-    other.fd_ = -1;
-}
+Client::Client(Client &&other) noexcept
+    : fd_(std::exchange(other.fd_, -1)), frames_(std::move(other.frames_))
+{}
 
 Client::~Client()
 {
@@ -131,39 +35,46 @@ void
 Client::sendRaw(std::string_view bytes)
 {
     blab_assert(fd_ >= 0, "client is closed");
-    if (!writeAll(fd_, bytes.data(), bytes.size()))
-        blab_fatal("send: ", std::strerror(errno));
+    while (!bytes.empty()) {
+        // MSG_NOSIGNAL: a vanished server is EPIPE, not SIGPIPE.
+        const ssize_t wrote =
+            ::send(fd_, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+        if (wrote < 0) {
+            if (errno == EINTR)
+                continue;
+            blab_fatal("send: ", std::strerror(errno));
+        }
+        bytes.remove_prefix(static_cast<std::size_t>(wrote));
+    }
 }
 
 void
 Client::sendFrame(std::string_view payload)
 {
-    const std::string header =
-        frameHeader(static_cast<std::uint32_t>(payload.size()));
-    sendRaw(header);
-    sendRaw(payload);
+    sendRaw(frame(payload));
 }
 
 bool
 Client::receive(Response &response)
 {
     blab_assert(fd_ >= 0, "client is closed");
-    unsigned char header[4];
-    const int got = readExact(fd_, header, sizeof header);
-    if (got == 0)
-        return false;
-    if (got < 0)
-        blab_fatal("read: truncated response header");
-    const std::uint32_t length =
-        static_cast<std::uint32_t>(header[0]) |
-        (static_cast<std::uint32_t>(header[1]) << 8) |
-        (static_cast<std::uint32_t>(header[2]) << 16) |
-        (static_cast<std::uint32_t>(header[3]) << 24);
-    if (length > kMaxFrameBytes)
-        blab_fatal("response frame exceeds the 1 MiB limit");
-    std::string payload(length, '\0');
-    if (length > 0 && readExact(fd_, payload.data(), length) != 1)
-        blab_fatal("read: truncated response payload");
+    std::string payload;
+    for (;;) {
+        const FrameReader::Status status = frames_.next(payload);
+        if (status == FrameReader::Status::Frame)
+            break;
+        if (status == FrameReader::Status::Oversized)
+            blab_fatal("response frame exceeds the 1 MiB limit");
+        char chunk[16 * 1024];
+        const ssize_t got = ::read(fd_, chunk, sizeof chunk);
+        if (got == 0 && !frames_.partial())
+            return false;
+        if (got < 0 && errno == EINTR)
+            continue;
+        if (got <= 0)
+            blab_fatal("read: truncated response");
+        frames_.feed({chunk, static_cast<std::size_t>(got)});
+    }
     std::string error;
     if (!decodeResponse(payload, response, error))
         blab_fatal("undecodable response: ", error);

@@ -48,6 +48,8 @@ class Client
 
   private:
     int fd_ = -1;
+    /** Bytes read past the last returned response. */
+    FrameReader frames_;
 };
 
 } // namespace branchlab::serve

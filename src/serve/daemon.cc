@@ -1,15 +1,16 @@
 #include "serve/daemon.hh"
 
-#include <arpa/inet.h>
+#include <algorithm>
 #include <cerrno>
-#include <condition_variable>
 #include <cstring>
-#include <netinet/in.h>
+#include <mutex>
+#include <optional>
 #include <poll.h>
+#include <sys/eventfd.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 #include <utility>
+#include <vector>
 
 #include "obs/metrics.hh"
 #include "support/logging.hh"
@@ -17,417 +18,270 @@
 namespace branchlab::serve
 {
 
-namespace
-{
+using Clock = std::chrono::steady_clock;
 
-obs::Counter &
-rejectsCounter()
-{
-    static obs::Counter &rejects =
-        obs::Registry::global().counter("serve.rejects");
-    return rejects;
-}
-
-/** Reader poll period; bounds how long drain waits on idle readers. */
-constexpr int kPollMs = 50;
-
-/** Write all of @p data; MSG_NOSIGNAL so a vanished client surfaces
- *  as EPIPE instead of killing the process. */
-bool
-writeAll(int fd, const void *data, std::size_t size)
-{
-    const char *cursor = static_cast<const char *>(data);
-    while (size > 0) {
-        const ssize_t wrote =
-            ::send(fd, cursor, size, MSG_NOSIGNAL);
-        if (wrote < 0) {
-            if (errno == EINTR)
-                continue;
-            return false;
-        }
-        cursor += wrote;
-        size -= static_cast<std::size_t>(wrote);
-    }
-    return true;
-}
-
-enum class ReadExact
-{
-    Ok,
-    /** Clean EOF before the first byte. */
-    Eof,
-    /** Error or EOF mid-buffer (a truncated frame). */
-    Failed,
-};
-
-ReadExact
-readExact(int fd, void *data, std::size_t size)
-{
-    char *cursor = static_cast<char *>(data);
-    std::size_t got = 0;
-    while (got < size) {
-        const ssize_t n = ::read(fd, cursor + got, size - got);
-        if (n == 0)
-            return got == 0 ? ReadExact::Eof : ReadExact::Failed;
-        if (n < 0) {
-            if (errno == EINTR)
-                continue;
-            return ReadExact::Failed;
-        }
-        got += static_cast<std::size_t>(n);
-    }
-    return ReadExact::Ok;
-}
-
-enum class FrameStatus
-{
-    Frame,
-    Timeout,
-    Eof,
-    Oversized,
-    Failed,
-};
-
-/** Wait up to kPollMs for a frame, then read it whole. Blocking once
- *  the header starts arriving (bounded by the socket's receive
- *  timeout), so a mid-frame disconnect reads as Failed, never as a
- *  short frame. */
-FrameStatus
-readFrame(int fd, std::string &payload)
-{
-    pollfd entry{};
-    entry.fd = fd;
-    entry.events = POLLIN;
-    const int ready = ::poll(&entry, 1, kPollMs);
-    if (ready == 0)
-        return FrameStatus::Timeout;
-    if (ready < 0)
-        return errno == EINTR ? FrameStatus::Timeout
-                              : FrameStatus::Failed;
-
-    unsigned char header[4];
-    switch (readExact(fd, header, sizeof header)) {
-      case ReadExact::Eof:
-        return FrameStatus::Eof;
-      case ReadExact::Failed:
-        return FrameStatus::Failed;
-      case ReadExact::Ok:
-        break;
-    }
-    const std::uint32_t length =
-        static_cast<std::uint32_t>(header[0]) |
-        (static_cast<std::uint32_t>(header[1]) << 8) |
-        (static_cast<std::uint32_t>(header[2]) << 16) |
-        (static_cast<std::uint32_t>(header[3]) << 24);
-    if (length > kMaxFrameBytes)
-        return FrameStatus::Oversized;
-    payload.resize(length);
-    if (length > 0 &&
-        readExact(fd, payload.data(), length) != ReadExact::Ok)
-        return FrameStatus::Failed;
-    return FrameStatus::Frame;
-}
-
-/** Bound blocking reads (a client that sends half a frame and stalls
- *  holds its reader for at most this long). */
-void
-setReceiveTimeout(int fd)
-{
-    timeval timeout{};
-    timeout.tv_sec = 5;
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
-                 sizeof timeout);
-}
-
-} // namespace
-
-/** One accepted socket. Workers write responses under writeMutex;
- *  the reader closes the fd only after the last admitted request has
- *  responded (inFlight drains to zero). */
+/** One accepted socket. The loop owns the read side; the loop and the
+ *  workers reply, under the mutex. The fd closes with the last owner:
+ *  the loop, or a job still evaluating one of its requests. */
 struct Daemon::Connection
 {
-    int fd = -1;
-    std::mutex writeMutex;
-    std::mutex flightMutex;
-    std::condition_variable flightCv;
-    std::size_t inFlight = 0;
+    explicit Connection(int socket) : fd(socket) {}
+    ~Connection() { ::close(fd); }
 
-    void
-    beginRequest()
+    /** Queue @p bytes behind the backlog and write what the socket
+     *  takes, never blocking; send({}) just flushes. True when the
+     *  loop has work left: a backlog to flush, or a close. */
+    bool
+    send(std::string_view bytes)
     {
-        std::lock_guard<std::mutex> lock(flightMutex);
-        ++inFlight;
-    }
-
-    void
-    endRequest()
-    {
-        {
-            std::lock_guard<std::mutex> lock(flightMutex);
-            --inFlight;
+        std::lock_guard<std::mutex> lock(mutex);
+        backlog.append(bytes);
+        std::size_t sent = 0;
+        while (sent < backlog.size()) {
+            // MSG_NOSIGNAL: a vanished client is EPIPE, not SIGPIPE.
+            const ssize_t wrote =
+                ::send(fd, backlog.data() + sent, backlog.size() - sent,
+                       MSG_NOSIGNAL);
+            if (wrote < 0 && errno == EINTR)
+                continue;
+            if (wrote < 0) {
+                closing = closing || errno != EAGAIN;
+                break;
+            }
+            sent += static_cast<std::size_t>(wrote);
         }
-        flightCv.notify_all();
+        backlog.erase(0, sent);
+        // Past the bound the client is not reading: close it.
+        if (closing || backlog.size() > kMaxBacklogBytes) {
+            closing = true;
+            backlog.clear();
+        }
+        backlogged = !backlog.empty();
+        return closing || backlogged;
     }
 
-    void
-    waitQuiet()
-    {
-        std::unique_lock<std::mutex> lock(flightMutex);
-        flightCv.wait(lock, [this] { return inFlight == 0; });
-    }
+    const int fd;
+    /** Set by the loop (EOF, read or protocol error) or by a send
+     *  (write error, backlog bound); the loop then drops it. */
+    std::atomic<bool> closing{false};
+    /** Whether `backlog` holds bytes, readable without the mutex. */
+    std::atomic<bool> backlogged{false};
+
+    std::mutex mutex;
+    std::string backlog;
+
+    // The read side, touched only by the loop.
+    FrameReader frames;
+    /** When the first byte of the partial frame in `frames` arrived. */
+    std::optional<Clock::time_point> frameStart;
 };
 
 Daemon::Daemon(DaemonConfig config)
     : config_(std::move(config)), service_(config_.service),
-      pool_(resolveJobs(config_.jobs), "serve")
-{}
+      pool_(resolveJobs(config_.jobs), "serve"),
+      wakeFd_(::eventfd(0, EFD_NONBLOCK))
+{
+    if (wakeFd_ < 0)
+        blab_fatal("eventfd(): ", std::strerror(errno));
+}
 
 Daemon::~Daemon()
 {
-    if (started_ && !stopped_) {
+    if (loopThread_.joinable()) {
         requestDrain();
         waitStopped();
     }
+    ::close(wakeFd_);
 }
 
 void
 Daemon::start()
 {
-    blab_assert(!started_, "daemon already started");
-
-    std::string_view listen = config_.listen;
-    if (listen.substr(0, 4) == "tcp:") {
-        listen.remove_prefix(4);
-        const std::size_t colon = listen.rfind(':');
-        if (colon == std::string_view::npos)
-            blab_fatal("tcp listen address needs host:port, got '",
-                       config_.listen, "'");
-        const std::string host(listen.substr(0, colon));
-        const int port = std::atoi(
-            std::string(listen.substr(colon + 1)).c_str());
-        if (port < 0 || port > 65535)
-            blab_fatal("tcp port out of range in '", config_.listen,
-                       "'");
-        listenFd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-        if (listenFd_ < 0)
-            blab_fatal("socket(): ", std::strerror(errno));
-        const int one = 1;
-        ::setsockopt(listenFd_, SOL_SOCKET, SO_REUSEADDR, &one,
-                     sizeof one);
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_port = htons(static_cast<std::uint16_t>(port));
-        if (host.empty() || host == "*") {
-            addr.sin_addr.s_addr = htonl(INADDR_ANY);
-        } else if (::inet_pton(AF_INET, host.c_str(),
-                               &addr.sin_addr) != 1) {
-            blab_fatal("unparsable tcp host '", host, "'");
-        }
-        if (::bind(listenFd_,
-                   reinterpret_cast<const sockaddr *>(&addr),
-                   sizeof addr) != 0) {
-            blab_fatal("bind(", config_.listen,
-                       "): ", std::strerror(errno));
-        }
-        sockaddr_in bound{};
-        socklen_t bound_len = sizeof bound;
-        ::getsockname(listenFd_,
-                      reinterpret_cast<sockaddr *>(&bound),
-                      &bound_len);
-        char text[INET_ADDRSTRLEN] = "0.0.0.0";
-        ::inet_ntop(AF_INET, &bound.sin_addr, text, sizeof text);
-        address_ = "tcp:" + std::string(text) + ":" +
-                   std::to_string(ntohs(bound.sin_port));
-    } else {
-        if (listen.substr(0, 5) == "unix:")
-            listen.remove_prefix(5);
-        if (listen.empty())
-            blab_fatal("empty unix socket path");
-        socketPath_ = std::string(listen);
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        if (socketPath_.size() >= sizeof addr.sun_path)
-            blab_fatal("unix socket path too long: '", socketPath_,
-                       "'");
-        std::strncpy(addr.sun_path, socketPath_.c_str(),
-                     sizeof addr.sun_path - 1);
-        listenFd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        if (listenFd_ < 0)
-            blab_fatal("socket(): ", std::strerror(errno));
-        // The daemon owns its path: a stale socket from a previous
-        // (killed) instance is reclaimed, like the stores' temp files.
-        ::unlink(socketPath_.c_str());
-        if (::bind(listenFd_,
-                   reinterpret_cast<const sockaddr *>(&addr),
-                   sizeof addr) != 0) {
-            blab_fatal("bind(", socketPath_,
-                       "): ", std::strerror(errno));
-        }
-        address_ = "unix:" + socketPath_;
-    }
-
-    if (::listen(listenFd_, 64) != 0)
-        blab_fatal("listen(): ", std::strerror(errno));
-    started_ = true;
-    acceptThread_ = std::thread([this] { acceptLoop(); });
+    blab_assert(listener_.fd < 0, "daemon already started");
+    listener_ = listenOn(config_.listen, /*backlog=*/64);
+    loopThread_ = std::thread([this] { loop(); });
 }
 
 void
-Daemon::acceptLoop()
+Daemon::wake()
 {
-    while (!draining_.load(std::memory_order_relaxed)) {
-        pollfd entry{};
-        entry.fd = listenFd_;
-        entry.events = POLLIN;
-        const int ready = ::poll(&entry, 1, kPollMs);
-        if (ready <= 0)
-            continue;
-        const int fd = ::accept(listenFd_, nullptr, nullptr);
-        if (fd < 0)
-            continue;
-        setReceiveTimeout(fd);
-        auto connection = std::make_shared<Connection>();
-        connection->fd = fd;
-        std::lock_guard<std::mutex> lock(connectionsMutex_);
-        readerThreads_.emplace_back(
-            [this, connection = std::move(connection)]() mutable {
-                readerLoop(std::move(connection));
-            });
-    }
+    const std::uint64_t one = 1;
+    // Fails only on a saturated counter, which still reads as ready.
+    [[maybe_unused]] const ssize_t wrote =
+        ::write(wakeFd_, &one, sizeof one);
 }
 
 void
-Daemon::respond(Connection &connection, const Response &response)
+Daemon::loop()
 {
-    const std::string payload = encodeResponse(response);
-    const std::string header =
-        frameHeader(static_cast<std::uint32_t>(payload.size()));
-    std::lock_guard<std::mutex> lock(connection.writeMutex);
-    if (writeAll(connection.fd, header.data(), header.size()))
-        writeAll(connection.fd, payload.data(), payload.size());
-}
-
-void
-Daemon::readerLoop(std::shared_ptr<Connection> connection)
-{
+    std::vector<std::shared_ptr<Connection>> connections;
+    std::vector<pollfd> fds;
+    std::vector<char> chunk(64 * 1024);
     std::string payload;
-    bool open = true;
-    while (open) {
-        switch (readFrame(connection->fd, payload)) {
-          case FrameStatus::Timeout:
-            if (draining_.load(std::memory_order_relaxed))
-                open = false;
-            continue;
-          case FrameStatus::Eof:
-          case FrameStatus::Failed:
-            // Disconnects (including mid-request: admitted work still
-            // completes; only its response write fails) end the
-            // reader, never the daemon.
-            open = false;
-            continue;
-          case FrameStatus::Oversized: {
-            Response refusal;
-            refusal.status = ResponseStatus::Error;
-            refusal.message = "frame exceeds 1 MiB limit";
-            respond(*connection, refusal);
-            open = false;
-            continue;
-          }
-          case FrameStatus::Frame:
-            break;
-        }
-
-        if (draining_.load(std::memory_order_relaxed)) {
-            Response busy;
-            busy.status = ResponseStatus::Draining;
-            respond(*connection, busy);
-            continue;
-        }
-
-        Request request;
-        std::string error;
-        if (!decodeRequest(payload, request, error)) {
-            Response refusal;
-            refusal.status = ResponseStatus::Error;
-            refusal.requestId = request.requestId;
-            refusal.message = "malformed request: " + error;
-            respond(*connection, refusal);
-            // Fail closed: a peer speaking the wrong protocol gets
-            // one diagnostic, not a parsing loop.
-            open = false;
-            continue;
-        }
-
-        // Admission control on the reader thread: over the ceiling,
-        // the only cost of a request is this reject write.
-        std::size_t admitted =
-            pending_.load(std::memory_order_relaxed);
-        bool rejected = false;
-        for (;;) {
-            if (admitted >= config_.maxQueue) {
-                rejected = true;
-                break;
-            }
-            if (pending_.compare_exchange_weak(
-                    admitted, admitted + 1,
-                    std::memory_order_relaxed))
-                break;
-        }
-        if (rejected) {
-            rejectsCounter().add(1);
-            Response busy;
-            busy.status = ResponseStatus::Reject;
-            busy.requestId = request.requestId;
-            busy.retryAfterMs = config_.retryAfterMs;
-            respond(*connection, busy);
-            continue;
-        }
-
-        connection->beginRequest();
-        pool_.submit([this, connection, request]() {
-            const Response response = service_.handle(request);
-            respond(*connection, response);
-            pending_.fetch_sub(1, std::memory_order_relaxed);
-            connection->endRequest();
+    // Drain with every admitted request replied: only unsent replies
+    // hold a connection from then on.
+    std::optional<Clock::time_point> quiet;
+    for (;;) {
+        const Clock::time_point now = Clock::now();
+        const bool draining = draining_.load();
+        if (draining && !quiet && pending_.load() == 0)
+            quiet = now;
+        std::erase_if(connections, [&](const auto &connection) {
+            const auto &start = connection->frameStart;
+            return connection->closing ||
+                   (start && now - *start >= kFrameDeadline) ||
+                   (quiet && (!connection->backlogged ||
+                              now - *quiet >= kFrameDeadline));
         });
+        if (quiet && connections.empty())
+            return;
+
+        // Slots 0 and 1 are the wake fd and the listen fd; poll()
+        // skips the listen fd while it is negative.
+        const bool accepting =
+            !draining && connections.size() < kMaxConnections;
+        fds.clear();
+        fds.push_back({wakeFd_, POLLIN, 0});
+        fds.push_back({accepting ? listener_.fd : -1, POLLIN, 0});
+        Clock::time_point due = quiet ? *quiet + kFrameDeadline
+                                      : Clock::time_point::max();
+        for (const auto &connection : connections) {
+            const short events =
+                connection->backlogged ? POLLIN | POLLOUT : POLLIN;
+            fds.push_back({connection->fd, events, 0});
+            if (connection->frameStart)
+                due = std::min(due, *connection->frameStart +
+                                        kFrameDeadline);
+        }
+        // Every deadline is ahead: passed ones were acted on above.
+        const auto wait =
+            std::chrono::ceil<std::chrono::milliseconds>(due - now);
+        const int timeout = due == Clock::time_point::max()
+                                ? -1
+                                : static_cast<int>(wait.count());
+        if (::poll(fds.data(), fds.size(), timeout) < 0)
+            continue; // EINTR
+        const Clock::time_point ready = Clock::now();
+
+        if (fds[0].revents != 0) {
+            std::uint64_t count = 0;
+            [[maybe_unused]] const ssize_t got =
+                ::read(wakeFd_, &count, sizeof count);
+        }
+        for (std::size_t i = 0; i < connections.size(); ++i) {
+            const short revents = fds[2 + i].revents;
+            Connection &connection = *connections[i];
+            if ((revents & POLLOUT) != 0)
+                connection.send({});
+            if ((revents & (POLLIN | POLLHUP | POLLERR)) == 0)
+                continue;
+            const ssize_t got =
+                ::read(connection.fd, chunk.data(), chunk.size());
+            if (got <= 0) {
+                // EOF or a reset ends the connection; its admitted
+                // requests still complete, only their replies go
+                // nowhere.
+                if (got == 0 || (errno != EAGAIN && errno != EINTR))
+                    connection.closing = true;
+                continue;
+            }
+            connection.frames.feed(
+                {chunk.data(), static_cast<std::size_t>(got)});
+            while (!connection.closing) {
+                const FrameReader::Status status =
+                    connection.frames.next(payload);
+                if (status == FrameReader::Status::Partial)
+                    break;
+                connection.frameStart.reset();
+                dispatch(connections[i],
+                         status == FrameReader::Status::Frame ? &payload
+                                                              : nullptr);
+            }
+            if (connection.frames.partial() && !connection.frameStart)
+                connection.frameStart = ready;
+        }
+
+        if ((fds[1].revents & POLLIN) != 0) {
+            while (connections.size() < kMaxConnections) {
+                const int fd = ::accept4(listener_.fd, nullptr, nullptr,
+                                         SOCK_NONBLOCK);
+                if (fd < 0)
+                    break; // backlog empty, or the peer already left
+                connections.push_back(std::make_shared<Connection>(fd));
+            }
+        }
     }
-    // Admitted requests may still be evaluating; their responses
-    // write through this fd, so close only once the last one is out.
-    connection->waitQuiet();
-    ::close(connection->fd);
-    connection->fd = -1;
+}
+
+void
+Daemon::dispatch(const std::shared_ptr<Connection> &connection,
+                 const std::string *payload)
+{
+    Response reply;
+    Request request;
+    std::string error;
+    if (payload == nullptr) {
+        reply.status = ResponseStatus::Error;
+        reply.message = "frame exceeds 1 MiB limit";
+        connection->closing = true;
+    } else if (draining_.load()) {
+        reply.status = ResponseStatus::Draining;
+    } else if (!decodeRequest(*payload, request, error)) {
+        // Fail closed: a peer speaking the wrong protocol gets one
+        // diagnostic, not a parsing loop.
+        reply.status = ResponseStatus::Error;
+        reply.requestId = request.requestId;
+        reply.message = "malformed request: " + error;
+        connection->closing = true;
+    } else if (pending_.load() >= config_.maxQueue) {
+        // Admission control on the loop: over the ceiling, the only
+        // cost of a request is this reply. Only the loop increments
+        // pending_, so the check and the increment cannot overshoot.
+        static obs::Counter &rejects =
+            obs::Registry::global().counter("serve.rejects");
+        rejects.add(1);
+        reply.status = ResponseStatus::Reject;
+        reply.requestId = request.requestId;
+        reply.retryAfterMs = config_.retryAfterMs;
+    } else {
+        pending_.fetch_add(1);
+        pool_.submit([this, connection, request = std::move(request)] {
+            const bool loop_work = connection->send(
+                frame(encodeResponse(service_.handle(request))));
+            // Decrement before waking: a draining loop that reads
+            // pending_ == 0 knows every reply is written or queued.
+            pending_.fetch_sub(1);
+            if (loop_work || draining_.load())
+                wake();
+        });
+        return;
+    }
+    connection->send(frame(encodeResponse(reply)));
 }
 
 void
 Daemon::requestDrain()
 {
-    draining_.store(true, std::memory_order_relaxed);
+    draining_.store(true);
+    wake();
 }
 
 void
 Daemon::waitStopped()
 {
-    if (!started_ || stopped_)
+    if (!loopThread_.joinable())
         return;
     blab_assert(draining_.load(), "waitStopped() before drain");
-    acceptThread_.join();
-    // Every admitted request runs to completion and responds; the
-    // pool's fail-fast rethrow is deliberately fatal here -- handler
-    // exceptions are converted to Error responses inside the service,
-    // so anything surfacing past it is a daemon bug.
+    loopThread_.join();
+    // Every admitted request has replied; wait out workers between
+    // their reply and their return. The pool's fail-fast rethrow is
+    // deliberately fatal here -- handler exceptions are converted to
+    // Error responses inside the service, so anything surfacing past
+    // it is a daemon bug.
     pool_.waitIdle();
-    std::vector<std::thread> readers;
-    {
-        std::lock_guard<std::mutex> lock(connectionsMutex_);
-        readers.swap(readerThreads_);
-    }
-    for (std::thread &reader : readers)
-        reader.join();
-    ::close(listenFd_);
-    listenFd_ = -1;
-    if (!socketPath_.empty())
-        ::unlink(socketPath_.c_str());
-    stopped_ = true;
+    ::close(listener_.fd);
+    if (!listener_.unixPath.empty())
+        ::unlink(listener_.unixPath.c_str());
 }
 
 } // namespace branchlab::serve

@@ -1,6 +1,17 @@
 #include "serve/protocol.hh"
 
+#include <arpa/inet.h>
+#include <cerrno>
+#include <charconv>
+#include <cstring>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
+
 #include "support/le_codec.hh"
+#include "support/logging.hh"
 
 namespace branchlab::serve
 {
@@ -13,6 +24,70 @@ fail(std::string &error, const char *what)
 {
     error = what;
     return false;
+}
+
+union SocketAddress
+{
+    sockaddr any;
+    sockaddr_in in;
+    sockaddr_un un;
+};
+
+SocketAddress
+parseAddress(std::string_view address)
+{
+    SocketAddress parsed{};
+    std::string_view spec = address;
+    if (spec.substr(0, 4) != "tcp:") {
+        if (spec.substr(0, 5) == "unix:")
+            spec.remove_prefix(5);
+        if (spec.empty() || spec.size() >= sizeof parsed.un.sun_path)
+            blab_fatal("bad unix socket path '", address, "'");
+        parsed.un.sun_family = AF_UNIX;
+        std::memcpy(parsed.un.sun_path, spec.data(), spec.size());
+        return parsed;
+    }
+    spec.remove_prefix(4);
+    const std::size_t colon = spec.rfind(':');
+    const std::string host(spec.substr(0, colon));
+    const std::string_view digits = spec.substr(colon + 1);
+    const char *end = digits.data() + digits.size();
+    std::uint32_t port = 0;
+    const auto [stop, error] = std::from_chars(digits.data(), end, port);
+    if (colon == std::string_view::npos || error != std::errc() ||
+        stop != end || port > 65535) {
+        blab_fatal("tcp address needs host:port with a port in 0-65535, "
+                   "got '", address, "'");
+    }
+    parsed.in.sin_family = AF_INET;
+    parsed.in.sin_port = htons(static_cast<std::uint16_t>(port));
+    if (host.empty() || host == "*")
+        parsed.in.sin_addr.s_addr = htonl(INADDR_ANY);
+    else if (::inet_pton(AF_INET, host.c_str(), &parsed.in.sin_addr) != 1)
+        blab_fatal("unparsable tcp host '", host, "'");
+    return parsed;
+}
+
+/** A stream socket for @p parsed. TCP ones run with Nagle off, so a
+ *  reply written in one piece leaves at once; a listener passes the
+ *  option on to every socket it accepts. Fatal on failure. */
+int
+openSocket(const SocketAddress &parsed, int flags)
+{
+    const int fd = ::socket(parsed.any.sa_family, SOCK_STREAM | flags, 0);
+    if (fd < 0)
+        blab_fatal("socket(): ", std::strerror(errno));
+    const int one = 1;
+    if (parsed.any.sa_family == AF_INET)
+        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+    return fd;
+}
+
+socklen_t
+addressLength(const SocketAddress &parsed)
+{
+    return parsed.any.sa_family == AF_INET ? sizeof parsed.in
+                                           : sizeof parsed.un;
 }
 
 } // namespace
@@ -220,6 +295,90 @@ frameHeader(std::uint32_t payloadBytes)
     std::string out;
     appendLe32(out, payloadBytes);
     return out;
+}
+
+std::string
+frame(std::string_view payload)
+{
+    std::string out =
+        frameHeader(static_cast<std::uint32_t>(payload.size()));
+    out.append(payload);
+    return out;
+}
+
+FrameReader::Status
+FrameReader::next(std::string &payload)
+{
+    constexpr std::size_t kHeaderBytes = 4;
+    const std::size_t buffered = buffer_.size() - start_;
+    if (buffered >= kHeaderBytes) {
+        const std::uint32_t length = loadLe32(
+            reinterpret_cast<const std::uint8_t *>(buffer_.data()) +
+            start_);
+        if (length > kMaxFrameBytes)
+            return Status::Oversized;
+        if (buffered - kHeaderBytes >= length) {
+            payload.assign(buffer_, start_ + kHeaderBytes, length);
+            start_ += kHeaderBytes + length;
+            return Status::Frame;
+        }
+    }
+    // Out of whole frames: drop the consumed prefix so the buffer
+    // holds at most one partial frame plus the next read.
+    buffer_.erase(0, start_);
+    start_ = 0;
+    return Status::Partial;
+}
+
+Listener
+listenOn(std::string_view address, int backlog)
+{
+    const SocketAddress parsed = parseAddress(address);
+    Listener listener;
+    if (parsed.any.sa_family == AF_UNIX) {
+        // The daemon owns its path: a stale socket from a previous
+        // (killed) instance is reclaimed, like the stores' temp files.
+        listener.unixPath = parsed.un.sun_path;
+        listener.address = "unix:" + listener.unixPath;
+        ::unlink(listener.unixPath.c_str());
+    }
+    listener.fd = openSocket(parsed, SOCK_NONBLOCK);
+    const int one = 1;
+    if (listener.unixPath.empty())
+        ::setsockopt(listener.fd, SOL_SOCKET, SO_REUSEADDR, &one,
+                     sizeof one);
+    if (::bind(listener.fd, &parsed.any, addressLength(parsed)) != 0 ||
+        ::listen(listener.fd, backlog) != 0) {
+        const int saved = errno;
+        ::close(listener.fd);
+        blab_fatal("bind(", address, "): ", std::strerror(saved));
+    }
+    if (listener.unixPath.empty()) {
+        SocketAddress bound{};
+        socklen_t size = sizeof bound;
+        ::getsockname(listener.fd, &bound.any, &size);
+        char host[INET_ADDRSTRLEN] = "0.0.0.0";
+        ::inet_ntop(AF_INET, &bound.in.sin_addr, host, sizeof host);
+        listener.address = "tcp:" + std::string(host) + ":" +
+                           std::to_string(ntohs(bound.in.sin_port));
+    }
+    return listener;
+}
+
+int
+connectTo(std::string_view address)
+{
+    SocketAddress parsed = parseAddress(address);
+    if (parsed.any.sa_family == AF_INET &&
+        parsed.in.sin_addr.s_addr == htonl(INADDR_ANY))
+        parsed.in.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    const int fd = openSocket(parsed, 0);
+    if (::connect(fd, &parsed.any, addressLength(parsed)) != 0) {
+        const int saved = errno;
+        ::close(fd);
+        blab_fatal("connect(", address, "): ", std::strerror(saved));
+    }
+    return fd;
 }
 
 } // namespace branchlab::serve

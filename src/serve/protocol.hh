@@ -26,8 +26,12 @@
  * rejects, and on Ok one core::SweepCell per requested workload in
  * request order.
  *
- * The encode and decode functions are pure functions over byte
- * strings; socket I/O lives with the daemon and client.
+ * The encode and decode functions and the FrameReader are pure
+ * functions over byte strings. The socket set-up at the end is shared
+ * by daemon and client. An address is "unix:<path>", a bare path, or
+ * "tcp:<host>:<port>": host dotted IPv4, empty or "*" for every
+ * interface (this host, to a client); port all digits in 0-65535, 0
+ * binding an ephemeral one.
  */
 
 #ifndef BRANCHLAB_SERVE_PROTOCOL_HH
@@ -134,6 +138,58 @@ bool decodeResponse(std::string_view payload, Response &out,
 
 /** The 4-byte little-endian frame header for a payload this long. */
 std::string frameHeader(std::uint32_t payloadBytes);
+
+/** Header and payload as one buffer, so a frame leaves in one write
+ *  (a header sent alone waits out Nagle and delayed ACK). */
+std::string frame(std::string_view payload);
+
+/** Splits a byte stream into frame payloads: feed() bytes as they
+ *  arrive, in any split, then next() until it stops returning Frame.
+ *  It holds only bytes that arrived, and refuses an oversized length
+ *  prefix as soon as the header is in: no allocation on its word. */
+class FrameReader
+{
+  public:
+    enum class Status
+    {
+        Frame,
+        /** No whole frame buffered yet. */
+        Partial,
+        /** The next header announces more than kMaxFrameBytes. */
+        Oversized,
+    };
+
+    void feed(std::string_view bytes) { buffer_.append(bytes); }
+
+    Status next(std::string &payload);
+
+    /** True while part of a frame is buffered. */
+    bool partial() const { return start_ < buffer_.size(); }
+
+  private:
+    std::string buffer_;
+    /** Offset of the first unconsumed byte. */
+    std::size_t start_ = 0;
+};
+
+/** A bound, listening, non-blocking socket. */
+struct Listener
+{
+    int fd = -1;
+    /** "unix:<path>", or "tcp:<host>:<port>" with the bound port. */
+    std::string address;
+    /** The socket file to unlink on stop; empty for TCP. */
+    std::string unixPath;
+};
+
+/** Bind and listen on @p address (TCP_NODELAY on TCP, inherited by
+ *  accepted sockets), replacing a stale Unix socket file. Fatal
+ *  (throwing) on a malformed address or failed bind. */
+Listener listenOn(std::string_view address, int backlog);
+
+/** Connect a blocking socket to @p address (TCP_NODELAY on TCP).
+ *  Fatal (throwing) on a malformed address or an unreachable peer. */
+int connectTo(std::string_view address);
 
 } // namespace branchlab::serve
 

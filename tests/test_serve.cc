@@ -1,19 +1,29 @@
 /**
  * @file
  * Tests for the serving subsystem: the wire protocol's encode/decode
- * pair, and the daemon end to end over in-process Unix-socket (and
- * TCP) instances -- warm hits, hostile frames, disconnects,
- * single-flight dedup, admission control, and graceful drain.
+ * pair and frame reader, the strict address parser, and the daemon
+ * end to end over in-process Unix-socket (and TCP) instances -- warm
+ * hits, hostile frames, disconnects, single-flight dedup, admission
+ * control, graceful drain, and bounded resources under connection
+ * churn, stalled, idle and non-reading clients.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
+#include <chrono>
 #include <condition_variable>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <mutex>
+#include <poll.h>
+#include <stdexcept>
+#include <sys/socket.h>
 #include <thread>
+#include <unistd.h>
+#include <vector>
 
 #include "obs/metrics.hh"
 #include "serve/client.hh"
@@ -78,6 +88,93 @@ counterValue(const char *name)
 {
     return obs::Registry::global().counter(name).value();
 }
+
+using Clock = std::chrono::steady_clock;
+using std::chrono::milliseconds;
+
+Request
+pingRequest(std::uint64_t id = 1)
+{
+    Request ping;
+    ping.type = RequestType::Ping;
+    ping.requestId = id;
+    return ping;
+}
+
+/** A numeric field of /proc/self/status ("Threads", "VmSize" in kB). */
+long
+procStatus(const std::string &field)
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+        if (line.compare(0, field.size() + 1, field + ":") == 0)
+            return std::stol(line.substr(field.size() + 1));
+    }
+    return -1;
+}
+
+/** A bare connected socket, for clients that misbehave below the
+ *  Client API: stalled headers, idle holds, unanswered connects. */
+struct RawSocket
+{
+    explicit RawSocket(const std::string &address)
+        : fd(connectTo(address))
+    {}
+    ~RawSocket() { ::close(fd); }
+
+    RawSocket(const RawSocket &) = delete;
+    RawSocket &operator=(const RawSocket &) = delete;
+
+    /** One send; errors (the daemon closed us) are the test's to
+     *  observe through closed(). */
+    void
+    send(std::string_view bytes) const
+    {
+        [[maybe_unused]] const ssize_t wrote =
+            ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+    }
+
+    bool
+    readable(int timeout_ms) const
+    {
+        pollfd entry{fd, POLLIN, 0};
+        return ::poll(&entry, 1, timeout_ms) == 1;
+    }
+
+    /** True once the daemon has closed its end. */
+    bool
+    closed() const
+    {
+        if (!readable(0))
+            return false;
+        char byte = 0;
+        const ssize_t got = ::recv(fd, &byte, 1, MSG_DONTWAIT);
+        return got == 0 || (got < 0 && errno != EAGAIN);
+    }
+
+    /** Block for one response frame. */
+    Response
+    receive() const
+    {
+        FrameReader frames;
+        std::string payload;
+        while (frames.next(payload) != FrameReader::Status::Frame) {
+            char chunk[256];
+            const ssize_t got = ::read(fd, chunk, sizeof chunk);
+            if (got <= 0)
+                throw std::runtime_error("connection closed");
+            frames.feed({chunk, static_cast<std::size_t>(got)});
+        }
+        Response response;
+        std::string error;
+        if (!decodeResponse(payload, response, error))
+            throw std::runtime_error(error);
+        return response;
+    }
+
+    const int fd;
+};
 
 // ---------------------------------------------------------------------
 // Protocol encode/decode.
@@ -210,6 +307,45 @@ TEST(ServeProtocol, EmptyWorkloadListIsMalformed)
     std::string error;
     EXPECT_FALSE(decodeRequest(encodeRequest(request), out, error));
     EXPECT_NE(error.find("workload"), std::string::npos);
+}
+
+TEST(ServeProtocol, FrameReaderReassemblesAnySplit)
+{
+    const std::string big(300, 'x');
+    const std::string stream = frame("abc") + frame("") + frame(big);
+    FrameReader reader;
+    std::vector<std::string> got;
+    std::string payload;
+    for (const char byte : stream) {
+        reader.feed({&byte, 1});
+        while (reader.next(payload) == FrameReader::Status::Frame)
+            got.push_back(payload);
+    }
+    EXPECT_EQ(got, (std::vector<std::string>{"abc", "", big}));
+    EXPECT_FALSE(reader.partial());
+
+    // An oversized prefix is refused as soon as its header is in.
+    FrameReader hostile;
+    hostile.feed(frameHeader(kMaxFrameBytes + 1));
+    EXPECT_EQ(hostile.next(payload), FrameReader::Status::Oversized);
+}
+
+TEST(ServeSocket, PortMustBeAllDigitsInRange)
+{
+    const std::string dir = makeDir("badport");
+    for (const char *bad :
+         {"tcp:127.0.0.1:80x", "tcp:127.0.0.1:abc", "tcp:127.0.0.1:",
+          "tcp:127.0.0.1:-1", "tcp:127.0.0.1:+80", "tcp:127.0.0.1: 80",
+          "tcp:127.0.0.1:65536", "tcp:127.0.0.1:4294967376"}) {
+        DaemonConfig config;
+        config.listen = bad;
+        config.jobs = 1;
+        config.service.traceCacheDir = dir + "/tc";
+        config.service.journalDir = dir + "/jr";
+        Daemon daemon(config);
+        EXPECT_THROW(daemon.start(), ConfigFailure) << bad;
+        EXPECT_THROW(Client{bad}, ConfigFailure) << bad;
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -475,6 +611,178 @@ TEST(ServeDaemon, DrainFinishesInFlightWorkAndAnswersDraining)
     EXPECT_EQ(response.status, ResponseStatus::Ok);
     EXPECT_EQ(response.requestId, 1u);
     daemon.daemon->waitStopped();
+}
+
+TEST(ServeDaemon, TcpPingsDoNotWaitOnNagleOrDelayedAck)
+{
+    const std::string dir = makeDir("tcp_latency");
+    DaemonConfig config;
+    config.listen = "tcp:127.0.0.1:0";
+    config.jobs = 1;
+    config.service.traceCacheDir = dir + "/tc";
+    config.service.journalDir = dir + "/jr";
+    Daemon daemon(config);
+    daemon.start();
+    Client client(daemon.address());
+
+    const auto start = Clock::now();
+    for (std::uint64_t id = 1; id <= 50; ++id)
+        ASSERT_EQ(client.call(pingRequest(id)).status, ResponseStatus::Ok);
+    for (std::uint64_t id = 51; id <= 100; ++id)
+        client.sendFrame(encodeRequest(pingRequest(id)));
+    for (int i = 0; i < 50; ++i) {
+        Response response;
+        ASSERT_TRUE(client.receive(response));
+        EXPECT_EQ(response.status, ResponseStatus::Ok);
+    }
+    // A header and payload sent as two segments stall each reply on
+    // delayed ACK (~40 ms); 100 of them take seconds.
+    EXPECT_LT(Clock::now() - start, milliseconds(1000));
+}
+
+TEST(ServeDaemon, ConnectAndCloseChurnHoldsThreadsAndMemory)
+{
+    // One worker, warmed up: a thread's first allocation maps a 64 MB
+    // malloc arena, which is a one-off, not growth.
+    TestDaemon daemon("churn", /*jobs=*/1);
+    ASSERT_EQ(daemon.connect().call(pingRequest()).status,
+              ResponseStatus::Ok);
+    const long threads = procStatus("Threads");
+    const long vmsize_kb = procStatus("VmSize");
+    for (int i = 0; i < 1000; ++i)
+        Client client = daemon.connect();
+    // Accepts are FIFO: a Ping answered on a fresh connection means
+    // the loop has taken all 1000.
+    ASSERT_EQ(daemon.connect().call(pingRequest()).status,
+              ResponseStatus::Ok);
+    EXPECT_EQ(procStatus("Threads"), threads);
+    EXPECT_LT(procStatus("VmSize") - vmsize_kb, 64 * 1024);
+}
+
+TEST(ServeDaemon, StalledFramesTimeOutWithoutDelayingOthers)
+{
+    TestDaemon daemon("stalled");
+    const std::string header = frameHeader(100);
+    std::vector<std::unique_ptr<RawSocket>> stalled;
+    for (int i = 0; i < 100; ++i) {
+        stalled.push_back(
+            std::make_unique<RawSocket>(daemon.daemon->address()));
+        stalled.back()->send(header.substr(0, 2));
+    }
+    const auto sent = Clock::now();
+
+    const auto ping_start = Clock::now();
+    Client client = daemon.connect();
+    EXPECT_EQ(client.call(pingRequest()).status, ResponseStatus::Ok);
+    EXPECT_LT(Clock::now() - ping_start, milliseconds(100));
+
+    // One more client keeps its frame moving, a byte a second: the
+    // deadline runs from a frame's first byte, so progress does not
+    // extend it.
+    stalled.push_back(
+        std::make_unique<RawSocket>(daemon.daemon->address()));
+    const RawSocket &dribbler = *stalled.back();
+    const std::string dribble = header + std::string(100, 'x');
+    std::size_t dribbled = 0;
+    dribbler.send(dribble.substr(dribbled++, 1));
+    auto next_byte = Clock::now() + milliseconds(1000);
+
+    std::vector<bool> closed(stalled.size(), false);
+    std::size_t open = stalled.size();
+    Clock::duration first_close = Clock::duration::max();
+    while (open > 0 && Clock::now() - sent < milliseconds(8000)) {
+        for (std::size_t i = 0; i < stalled.size(); ++i) {
+            if (!closed[i] && stalled[i]->closed()) {
+                closed[i] = true;
+                --open;
+                first_close = std::min(first_close, Clock::now() - sent);
+            }
+        }
+        if (Clock::now() >= next_byte && !closed.back()) {
+            dribbler.send(dribble.substr(dribbled++, 1));
+            next_byte += milliseconds(1000);
+        }
+        std::this_thread::sleep_for(milliseconds(20));
+    }
+    EXPECT_EQ(open, 0u);
+    EXPECT_GE(first_close, kFrameDeadline - milliseconds(500));
+}
+
+TEST(ServeDaemon, IdleConnectionsDoNotHoldDrain)
+{
+    TestDaemon daemon("idle_drain");
+    std::vector<std::unique_ptr<RawSocket>> idle;
+    for (int i = 0; i < 200; ++i)
+        idle.push_back(
+            std::make_unique<RawSocket>(daemon.daemon->address()));
+    ASSERT_EQ(daemon.connect().call(pingRequest()).status,
+              ResponseStatus::Ok);
+
+    const auto start = Clock::now();
+    daemon.daemon->requestDrain();
+    daemon.daemon->waitStopped();
+    EXPECT_LT(Clock::now() - start, milliseconds(1000));
+    for (const auto &socket : idle)
+        EXPECT_TRUE(socket->readable(1000) && socket->closed());
+}
+
+TEST(ServeDaemon, ConnectionsPastTheCapWaitForAFreeSlot)
+{
+    TestDaemon daemon("cap");
+    std::vector<std::unique_ptr<RawSocket>> held;
+    for (std::size_t i = 0; i < kMaxConnections; ++i) {
+        held.push_back(
+            std::make_unique<RawSocket>(daemon.daemon->address()));
+        held.back()->send(frame(encodeRequest(pingRequest(i + 1))));
+        ASSERT_EQ(held.back()->receive().status, ResponseStatus::Ok);
+    }
+
+    // The connect itself succeeds (the kernel backlog holds it), but
+    // the daemon does not read it while the cap is reached...
+    RawSocket extra(daemon.daemon->address());
+    extra.send(frame(encodeRequest(pingRequest(999))));
+    EXPECT_FALSE(extra.readable(300));
+
+    // ...and serves it as soon as a slot frees.
+    held.front().reset();
+    ASSERT_TRUE(extra.readable(2000));
+    const Response response = extra.receive();
+    EXPECT_EQ(response.status, ResponseStatus::Ok);
+    EXPECT_EQ(response.requestId, 999u);
+}
+
+TEST(ServeDaemon, NonReadingPipelinerDoesNotStallOthers)
+{
+    TestDaemon daemon("nonreading");
+    constexpr std::uint64_t kPings = 20000;
+    std::string burst;
+    for (std::uint64_t id = 1; id <= kPings; ++id)
+        burst += frame(encodeRequest(pingRequest(id)));
+    Client greedy = daemon.connect();
+    std::thread sender([&] { greedy.sendRaw(burst); });
+
+    // Its replies pile up unread, yet another client still gets
+    // through: nothing blocks on the greedy socket. Its burst holds
+    // the queue full while it lasts, so Rejects are retried.
+    Client polite = daemon.connect();
+    const auto start = Clock::now();
+    Response response = polite.call(pingRequest(1));
+    EXPECT_LT(Clock::now() - start, milliseconds(1000));
+    while (response.status == ResponseStatus::Reject &&
+           Clock::now() - start < milliseconds(10000)) {
+        std::this_thread::sleep_for(milliseconds(10));
+        response = polite.call(pingRequest(1));
+    }
+    EXPECT_EQ(response.status, ResponseStatus::Ok);
+    sender.join();
+
+    // Every backlogged reply is still delivered once it reads.
+    for (std::uint64_t i = 0; i < kPings; ++i) {
+        Response reply;
+        ASSERT_TRUE(greedy.receive(reply));
+        EXPECT_TRUE(reply.status == ResponseStatus::Ok ||
+                    reply.status == ResponseStatus::Reject);
+    }
 }
 
 } // namespace

@@ -307,5 +307,6 @@ main(int argc, char **argv)
         writeFile(options.jsonPath, core::sweepToJson(result));
     if (!options.csvPath.empty())
         writeFile(options.csvPath, core::sweepToCsv(result));
+    obs::exportIfConfigured();
     return 0;
 }
