@@ -3,7 +3,7 @@
  * Out-of-core streaming smoke bench: prove the zero-copy mapped
  * replay path is constant-memory end to end.
  *
- * A deterministic synthetic generator streams a BLTC v2 entry through
+ * A deterministic synthetic generator streams a BLTC entry through
  * trace::EntryWriter one section at a time (eight regeneration passes,
  * nothing buffered beyond a small chunk), so the entry can be far
  * larger than RAM. The entry is then mapped and validated with

@@ -121,40 +121,6 @@ likelyToCached(const predict::LikelyMap &map)
     return entries;
 }
 
-predict::LikelyMap
-cachedToLikely(const std::vector<trace::CachedLikely> &entries)
-{
-    predict::LikelyMap map;
-    map.reserve(entries.size());
-    for (const trace::CachedLikely &entry : entries)
-        map.emplace(entry.pc, predict::LikelyInfo{entry.likelyTaken,
-                                                  entry.dominantTarget});
-    return map;
-}
-
-/**
- * Rebuild the Forward Semantic's profile from a recorded stream.
- * ProgramProfile is a pure fold over branch events plus noteRun()
- * calls, so replaying the stream reproduces the online profile
- * bit-identically -- on warm cache paths this recovers everything
- * the Table 5 transform needs without a VM pass.
- */
-profile::ProgramProfile
-rebuildProfile(const RecordedWorkload &recorded)
-{
-    profile::ProgramProfile profile(*recorded.program,
-                                    *recorded.layout);
-    for (unsigned r = 0; r < recorded.runs; ++r)
-        profile.noteRun();
-    const trace::TraceView view = recorded.traceView();
-    trace::TraceView::Cursor cursor = view.cursor();
-    trace::TraceBlock block;
-    while (cursor.next(block))
-        for (std::size_t i = 0; i < block.count; ++i)
-            profile.onBranch(block.event(i));
-    return profile;
-}
-
 /** Table 5: the code-size cost of the Forward Semantic transform. */
 void
 applyCodeSizeTransform(const profile::ProgramProfile &profile,
@@ -244,15 +210,9 @@ ExperimentRunner::runBenchmark(const workloads::Workload &workload) const
     }
 
     if (config_.runCodeSize) {
-        if (recorded.profile != nullptr) {
-            applyCodeSizeTransform(*recorded.profile, config_, result);
-        } else {
-            // Cache hit: the record pass (and its online profile)
-            // never ran, so fold the cached stream back into one.
-            const profile::ProgramProfile profile =
-                rebuildProfile(recorded);
-            applyCodeSizeTransform(profile, config_, result);
-        }
+        std::optional<profile::ProgramProfile> rebuilt;
+        applyCodeSizeTransform(resolveProfile(recorded, rebuilt),
+                               config_, result);
     }
 
     return result;
@@ -323,15 +283,53 @@ recordWorkload(const workloads::Workload &workload,
     recorded.likelyMap = recorded.profile->buildLikelyMap();
 
     if (cache.enabled()) {
-        trace::CachedWorkload entry;
-        entry.contentHash = recorded.contentHash;
-        entry.runs = runs;
-        entry.stats = recorded.stats.counters();
-        entry.likely = likelyToCached(recorded.likelyMap);
-        entry.stream = recorded.stream;
+        trace::CachedWorkload entry = takeCacheEntry(recorded);
         cache.store(recorded.name, entry);
+        recorded.stream = std::move(entry.stream);
     }
     return recorded;
+}
+
+trace::CachedWorkload
+takeCacheEntry(RecordedWorkload &recorded)
+{
+    trace::CachedWorkload entry;
+    entry.contentHash = recorded.contentHash;
+    entry.runs = recorded.runs;
+    entry.stats = recorded.stats.counters();
+    entry.likely = likelyToCached(recorded.likelyMap);
+    recorded.materializedStream();
+    entry.stream = std::move(recorded.stream);
+    return entry;
+}
+
+predict::LikelyMap
+cachedToLikely(const std::vector<trace::CachedLikely> &entries)
+{
+    predict::LikelyMap map;
+    map.reserve(entries.size());
+    for (const trace::CachedLikely &entry : entries)
+        map.emplace(entry.pc, predict::LikelyInfo{entry.likelyTaken,
+                                                  entry.dominantTarget});
+    return map;
+}
+
+const profile::ProgramProfile &
+resolveProfile(const RecordedWorkload &recorded,
+               std::optional<profile::ProgramProfile> &storage)
+{
+    if (recorded.profile != nullptr)
+        return *recorded.profile;
+    storage.emplace(*recorded.program, *recorded.layout);
+    for (unsigned r = 0; r < recorded.runs; ++r)
+        storage->noteRun();
+    const trace::TraceView view = recorded.traceView();
+    trace::TraceView::Cursor cursor = view.cursor();
+    trace::TraceBlock block;
+    while (cursor.next(block))
+        for (std::size_t i = 0; i < block.count; ++i)
+            storage->onBranch(block.event(i));
+    return *storage;
 }
 
 void

@@ -26,6 +26,7 @@
 #define BRANCHLAB_CORE_RUNNER_HH
 
 #include <memory>
+#include <optional>
 
 #include "core/experiment.hh"
 #include "ir/layout.hh"
@@ -160,6 +161,34 @@ workloadContentHash(const workloads::Workload &workload,
 RecordedWorkload
 recordWorkload(const workloads::Workload &workload,
                const ExperimentConfig &config = ExperimentConfig{});
+
+/**
+ * The trace-cache entry that describes @p recorded: its hash, runs,
+ * stats and pc-sorted likely map, plus its stream moved out of
+ * @p recorded (a mapped warm hit is decoded first). The cache stores
+ * exactly this and `branchlab record -o` writes exactly this, so the
+ * two produce the same bytes. A caller that still needs the stream
+ * moves it back.
+ */
+trace::CachedWorkload takeCacheEntry(RecordedWorkload &recorded);
+
+/** A persisted likely map (as carried by a cache entry) in the
+ *  predictors' form. */
+predict::LikelyMap
+cachedToLikely(const std::vector<trace::CachedLikely> &entries);
+
+/**
+ * The workload's full block/arc profile: the record pass's when
+ * present, else rebuilt into @p storage by folding the recorded
+ * stream back through the profiler. ProgramProfile is a pure fold
+ * over branch events plus noteRun() calls, so the rebuilt profile is
+ * bit-identical to the online one -- on warm cache paths this
+ * recovers everything the FS transform needs without a VM pass. The
+ * runner (Table 5) and the sweep share it.
+ */
+const profile::ProgramProfile &
+resolveProfile(const RecordedWorkload &recorded,
+               std::optional<profile::ProgramProfile> &storage);
 
 /** Everything one replay of a stream measures for one scheme. */
 struct ReplayResult

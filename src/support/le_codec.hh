@@ -1,9 +1,11 @@
 /**
  * @file
  * The one little-endian codec behind every BranchLab byte format: the
- * BLTR trace files, BLTC cache entries, BLSG journal segments and the
- * BLRQ/BLRS daemon protocol all encode integers and doubles with these
- * helpers, so the byte order is decided in exactly one place.
+ * BLTC trace entries (the trace cache's files and the CLI's `record
+ * -o` export, header and sections checksummed), BLSG journal segments
+ * and the BLRQ/BLRS daemon protocol all encode integers and doubles
+ * with these helpers, so the byte order is decided in exactly one
+ * place.
  *
  *  - appendLe*: append a value's bytes to a string buffer;
  *  - loadLe*:   read a value from a pointer the caller has already

@@ -10,7 +10,7 @@
 #include "support/le_codec.hh"
 #include "support/logging.hh"
 #include "trace/format.hh"
-#include "trace/io.hh"
+#include "trace/varint.hh"
 
 namespace branchlab::trace
 {
@@ -67,10 +67,100 @@ sectionName(std::size_t s)
     return kNames[s];
 }
 
+/**
+ * The derived columns of an entry: the anomalous-next bit-plane and
+ * the two varint delta sections. The remaining columns are verbatim
+ * copies of the SoaTrace planes.
+ */
+void
+encodeDeltaColumns(const SoaTrace &events, std::string &anomaly_plane,
+                   std::string &deltas, std::string &anomalies)
+{
+    const std::size_t n = events.size();
+    const std::size_t plane_bytes = (n + 7) / 8;
+    const std::vector<ir::Addr> &pc = events.pc();
+    const std::vector<ir::Addr> &next_pc = events.nextPc();
+    const std::vector<ir::Addr> &target = events.targetAddr();
+    const std::vector<ir::Addr> &fall = events.fallthroughAddr();
+
+    anomaly_plane.assign(plane_bytes, '\0');
+    // One delta triple per event, interleaved so the decoder fills
+    // each event in a single sequential pass (three separate columns
+    // would make it re-walk the multi-hundred-megabyte trace once
+    // per column).
+    deltas.clear();
+    deltas.reserve(6 * n); // small deltas dominate real traces
+    anomalies.clear();
+
+    ir::Addr prev_pc = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const ir::Addr implied = events.taken(i) ? target[i] : fall[i];
+        if (next_pc[i] != implied) {
+            anomaly_plane[i >> 3] = static_cast<char>(
+                static_cast<unsigned char>(anomaly_plane[i >> 3]) |
+                (1u << (i & 7)));
+            putVarint(anomalies, zigzag(next_pc[i] - pc[i]));
+        }
+        putVarint(deltas, zigzag(pc[i] - prev_pc));
+        putVarint(deltas, zigzag(target[i] - pc[i]));
+        putVarint(deltas, zigzag(fall[i] - pc[i]));
+        prev_pc = pc[i];
+    }
+}
+
 } // namespace
 
 bool
-mapEntryFile(const std::string &path, std::uint64_t expected_hash,
+writeEntryFile(const std::string &path, const CachedWorkload &workload,
+               std::string &error)
+{
+    blab_assert(!workload.mapped,
+                "writeEntryFile expects an owning stream, not a mapped "
+                "hit");
+    EntryWriter writer(path);
+    if (!writer.ok()) {
+        error = "cannot open for writing";
+        return false;
+    }
+    const SoaTrace &stream = workload.stream;
+    const std::size_t n = stream.size();
+    const std::size_t plane_bytes = (n + 7) / 8;
+    writer.setMeta(workload.contentHash, workload.runs, workload.stats,
+                   n, stream.maxPc(), workload.likely.size());
+    std::string likely_bytes;
+    likely_bytes.reserve(kLikelyRecordBytes * workload.likely.size());
+    for (const CachedLikely &entry : workload.likely) {
+        appendLe64(likely_bytes, entry.pc);
+        appendLe64(likely_bytes, entry.dominantTarget);
+        likely_bytes.push_back(entry.likelyTaken ? 1 : 0);
+    }
+    writer.writeSection(EntrySection::Likely, likely_bytes.data(),
+                        likely_bytes.size());
+    // The stream's columns go to disk verbatim; only the anomaly
+    // plane and the delta columns are derived here.
+    writer.writeSection(EntrySection::Ops, stream.ops().data(), n);
+    writer.writeSection(EntrySection::CondPlane,
+                        stream.conditionalPlane().data(), plane_bytes);
+    writer.writeSection(EntrySection::TakenPlane,
+                        stream.takenPlane().data(), plane_bytes);
+    writer.writeSection(EntrySection::TargetKnownPlane,
+                        stream.targetKnownPlane().data(), plane_bytes);
+    std::string anomaly_plane;
+    std::string deltas;
+    std::string anomalies;
+    encodeDeltaColumns(stream, anomaly_plane, deltas, anomalies);
+    writer.writeSection(EntrySection::AnomalyPlane, anomaly_plane.data(),
+                        anomaly_plane.size());
+    writer.writeSection(EntrySection::Deltas, deltas.data(),
+                        deltas.size());
+    writer.writeSection(EntrySection::AnomalyDeltas, anomalies.data(),
+                        anomalies.size());
+    return writer.finish(error);
+}
+
+bool
+mapEntryFile(const std::string &path,
+             std::optional<std::uint64_t> expected_hash,
              CachedWorkload &out, std::string &error,
              MapFailure &failure)
 {
@@ -92,10 +182,10 @@ mapEntryFile(const std::string &path, std::uint64_t expected_hash,
     const std::uint32_t version = loadLe32(data + sizeof(kEntryMagic));
     if (version != kEntryVersion) {
         // A whole header of another format generation (the retired v1
-        // inline entry, or a newer writer) is not damage: refuse
-        // quietly and re-record.
+        // inline entry, v2 without a header checksum, or a newer
+        // writer) is not damage: refuse quietly and re-record.
         failure = MapFailure::Foreign;
-        error = "unsupported cache version " + std::to_string(version);
+        error = "unsupported entry version " + std::to_string(version);
         return false;
     }
 
@@ -163,7 +253,7 @@ mapEntryFile(const std::string &path, std::uint64_t expected_hash,
             return false;
         }
     }
-    if (header.contentHash != expected_hash) {
+    if (expected_hash && header.contentHash != *expected_hash) {
         error = "mismatched content hash";
         return false;
     }
@@ -308,61 +398,17 @@ TraceCache::store(const std::string &name,
 {
     if (!enabled())
         return;
-    blab_assert(!workload.mapped,
-                "store() expects an owning stream, not a mapped hit");
     const std::string path = entryPath(name, workload.contentHash);
-    const SoaTrace &stream = workload.stream;
-    const std::size_t n = stream.size();
-    const std::size_t plane_bytes = (n + 7) / 8;
     std::uint64_t entry_size = 0;
     const auto write = [&](const std::string &tmp) {
-        EntryWriter writer(tmp);
-        if (!writer.ok()) {
-            blab_warn("cannot write trace cache entry '", tmp, "'");
+        std::string error;
+        if (!writeEntryFile(tmp, workload, error)) {
+            blab_warn("cannot write trace cache entry '", tmp, "' (",
+                      error, ")");
             return false;
         }
-        writer.setMeta(workload.contentHash, workload.runs,
-                       workload.stats, n, stream.maxPc(),
-                       workload.likely.size());
-        std::string likely_bytes;
-        likely_bytes.reserve(kLikelyRecordBytes *
-                             workload.likely.size());
-        for (const CachedLikely &entry : workload.likely) {
-            appendLe64(likely_bytes, entry.pc);
-            appendLe64(likely_bytes, entry.dominantTarget);
-            likely_bytes.push_back(entry.likelyTaken ? 1 : 0);
-        }
-        writer.writeSection(EntrySection::Likely, likely_bytes.data(),
-                            likely_bytes.size());
-        // The stream's columns go to disk verbatim; only the anomaly
-        // plane and the delta columns are derived here.
-        writer.writeSection(EntrySection::Ops, stream.ops().data(), n);
-        writer.writeSection(EntrySection::CondPlane,
-                            stream.conditionalPlane().data(),
-                            plane_bytes);
-        writer.writeSection(EntrySection::TakenPlane,
-                            stream.takenPlane().data(), plane_bytes);
-        writer.writeSection(EntrySection::TargetKnownPlane,
-                            stream.targetKnownPlane().data(),
-                            plane_bytes);
-        std::string anomaly_plane;
-        std::string deltas;
-        std::string anomalies;
-        encodeDeltaColumnsV2(stream, anomaly_plane, deltas, anomalies);
-        writer.writeSection(EntrySection::AnomalyPlane,
-                            anomaly_plane.data(),
-                            anomaly_plane.size());
-        writer.writeSection(EntrySection::Deltas, deltas.data(),
-                            deltas.size());
-        writer.writeSection(EntrySection::AnomalyDeltas,
-                            anomalies.data(), anomalies.size());
-        std::string werror;
-        if (!writer.finish(werror)) {
-            blab_warn("trace cache write failed for '", tmp, "' (",
-                      werror, ")");
-            return false;
-        }
-        entry_size = writer.bytesWritten();
+        std::error_code ec;
+        entry_size = std::filesystem::file_size(tmp, ec);
         return true;
     };
     // An entry that cannot be synced is discarded rather than
@@ -378,7 +424,8 @@ TraceCache::store(const std::string &name,
     ++g_stores;
     cacheTelemetry().stores.add(1);
     cacheTelemetry().bytesWritten.add(entry_size);
-    blab_inform("trace cache store: ", name, " (", n, " events)");
+    blab_inform("trace cache store: ", name, " (",
+                workload.stream.size(), " events)");
     store_.reclaimStaleTemps();
     store_.enforceByteCap(maxBytes_, {path});
 }

@@ -7,15 +7,16 @@
  * Entries are sharded two hex digits deep
  * (`<dir>/<hh>/<name>-<hash16>.bltc`, where `hh` is the leading byte
  * of the hash) so a large cache never piles thousands of files into
- * one directory. Each file is a BLTC v2 sectioned entry
- * (trace/format.hh): the recorded stream's columns plus the profile
- * data derived alongside it (run count, the TraceStats counters, and
- * the per-branch likely map used by the profiled-static scheme and
- * the Forward Semantic transform), laid out for mmap. A warm load does
- * not decode the stream at all -- it maps the file, validates it
- * (section bounds, checksums, opcode range, content hash, feature
- * bits), and hands replay a zero-copy TraceView over the mapping
- * (trace/view.hh).
+ * one directory. Each file is a BLTC sectioned entry
+ * (trace/format.hh), the same file `branchlab record -o` exports and
+ * `branchlab replay` maps: the recorded stream's columns plus the
+ * profile data derived alongside it (run count, the TraceStats
+ * counters, and the per-branch likely map used by the profiled-static
+ * scheme and the Forward Semantic transform), laid out for mmap. A
+ * warm load does not decode the stream at all -- it maps the file,
+ * validates it (header checksum, section bounds, section checksums,
+ * opcode range, content hash, feature bits), and hands replay a
+ * zero-copy TraceView over the mapping (trace/view.hh).
  *
  * Invalidation is purely content-addressed: the key hashes the
  * program IR (printed with addresses), the data segment, the layout
@@ -31,7 +32,7 @@
  *
  * Writes, stale-temp reclamation and the byte cap go through the
  * shared durable-directory layer (support/durable_dir.hh): the entry
- * streams through an EntryWriter into a `<pid>-<sequence>` temp file,
+ * streams through writeEntryFile into a `<pid>-<sequence>` temp file,
  * is fsync'd and renamed into place, so concurrent runs, crashes, and
  * power loss leave either the old file or the complete new one. An
  * entry whose fsync fails is discarded, not published.
@@ -59,6 +60,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -121,11 +123,11 @@ struct CachedLikely
 };
 
 /**
- * A validated, mapped v2 entry: the mapping plus resolved section
+ * A validated, mapped entry: the mapping plus resolved section
  * pointers. Immutable and self-contained -- consumers share it by
  * shared_ptr, and the stream stays readable even if the cache file is
  * evicted (the mapping pins the pages). All validation (bounds,
- * checksums, opcode range, hash, feature bits) happened before this
+ * checksums, opcode range, feature bits) happened before this
  * object existed, so views over it may treat decode errors as fatal.
  */
 struct MappedEntry
@@ -205,14 +207,28 @@ enum class MapFailure
  * Map and fully validate one entry file (zero-copy). On success fills
  * @p out and returns true. On failure returns false with a diagnostic
  * in @p error and the classification in @p failure; never warns, never
- * aborts, and never leaves a mapping behind. @p expected_hash must
- * match the embedded content hash. Exposed for the streaming bench
- * (bench/stream_smoke.cc) and the validation tests; cache consumers
- * go through TraceCache::load.
+ * aborts, and never leaves a mapping behind. A given @p expected_hash
+ * must match the embedded content hash (the cache passes its key);
+ * std::nullopt accepts whatever hash the file carries (`branchlab
+ * replay` of an exported file). Cache consumers go through
+ * TraceCache::load; the CLI, the streaming bench
+ * (bench/stream_smoke.cc) and the validation tests call this
+ * directly.
  */
-bool mapEntryFile(const std::string &path, std::uint64_t expected_hash,
+bool mapEntryFile(const std::string &path,
+                  std::optional<std::uint64_t> expected_hash,
                   CachedWorkload &out, std::string &error,
                   MapFailure &failure);
+
+/**
+ * Write @p workload (its owning `stream`; never a mapped hit) as one
+ * entry file at @p path. The trace cache calls it on a temp file it
+ * then publishes durably; `branchlab record -o` calls it on the
+ * user's path. Does not fsync or rename. @return false with a
+ * diagnostic in @p error on any write failure.
+ */
+bool writeEntryFile(const std::string &path,
+                    const CachedWorkload &workload, std::string &error);
 
 /** Hit/miss/store totals across all caches in the process. */
 struct TraceCacheCounters

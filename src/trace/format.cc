@@ -46,6 +46,7 @@ encodeHeader(const EntryHeader &header)
         appendLe64(out, section.length);
         appendLe64(out, section.checksum);
     }
+    appendLe64(out, checksum64(out.data(), out.size()));
     return out;
 }
 
@@ -74,6 +75,14 @@ decodeEntryHeader(const std::uint8_t *data, std::size_t size,
     if (size < kEntryHeaderBytes)
         return "truncated header";
     const std::uint8_t *p = data + sizeof(kEntryMagic) + 4;
+    // The section count only sizes the checksummed block; no field is
+    // trusted until the header checksum over that block matches.
+    const std::uint64_t sum_at = headerChecksumOffset(loadLe32(p + 20));
+    if (sum_at > size - 8)
+        return "section table exceeds file";
+    if (checksum64(data, static_cast<std::size_t>(sum_at)) !=
+        loadLe64(data + sum_at))
+        return "header checksum mismatch";
     out.featureBits = loadLe64(p);
     out.contentHash = loadLe64(p + 8);
     out.runs = loadLe32(p + 16);
@@ -89,12 +98,9 @@ decodeEntryHeader(const std::uint8_t *data, std::size_t size,
     if (out.sectionCount < kEntrySectionCount)
         return "too few sections (" +
                std::to_string(out.sectionCount) + ")";
-    const std::uint64_t table_bytes =
-        static_cast<std::uint64_t>(out.sectionCount) * 24;
-    if (table_bytes > size - kEntryHeaderBytes)
-        return "section table exceeds file";
     const std::uint8_t *row = data + kEntryHeaderBytes;
-    for (std::size_t s = 0; s < kEntrySectionCount; ++s, row += 24) {
+    for (std::size_t s = 0; s < kEntrySectionCount;
+         ++s, row += kSectionRecordBytes) {
         out.sections[s].offset = loadLe64(row);
         out.sections[s].length = loadLe64(row + 8);
         out.sections[s].checksum = loadLe64(row + 16);
@@ -129,9 +135,9 @@ EntryWriter::beginSection(EntrySection s)
     blab_assert(index == nextSection_,
                 "sections must be written in order");
     if (offset_ == 0) {
-        // Reserve the header region the first time a section opens.
-        pad(alignSection(kEntryHeaderBytes +
-                         kEntrySectionCount * 24));
+        // Reserve the header region (header, section table, header
+        // checksum) the first time a section opens.
+        pad(alignSection(headerChecksumOffset(kEntrySectionCount) + 8));
     } else {
         pad(alignSection(offset_));
     }

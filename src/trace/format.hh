@@ -1,19 +1,23 @@
 /**
  * @file
- * The BLTC v2 sectioned cache-entry format: an mmap-friendly layout
- * for persisted traces, shared by the trace cache (trace/cache.cc)
- * and the out-of-core synthetic generator (bench/stream_smoke.cc).
+ * The BLTC sectioned trace-entry format: BranchLab's one on-disk
+ * trace format. It is the trace cache's entry (trace/cache.cc), the
+ * file `branchlab record -o` exports and `branchlab replay` maps, and
+ * what the out-of-core synthetic generator writes
+ * (bench/stream_smoke.cc).
  *
  * File layout (all integers little-endian):
  *
  *   header:
- *     magic "BLTC", u32 version = 2, u64 feature bits,
+ *     magic "BLTC", u32 version = 3, u64 feature bits,
  *     u64 content hash, u32 runs, u32 section count (>= 8),
  *     u64 x5 trace stats (instructions, branches, conditional,
  *     condTaken, uncondKnown), u64 event count, u64 max pc,
  *     u64 likely count
  *   section table: section count x { u64 offset, u64 length,
  *     u64 checksum }
+ *   header checksum: u64 checksum64 over every byte before it (the
+ *     header and the whole section table)
  *   sections, each starting on a kSectionAlign boundary, in order:
  *     0 likely      17 bytes per profiled branch (pc, dominant
  *                   target, likely-taken byte)
@@ -33,18 +37,20 @@
  * strip-mined block at a time (trace/view.hh).
  *
  * Compatibility rules:
- *  - any version other than kEntryVersion (including the retired
- *    version 1 inline entry) is foreign: the cache refuses it quietly
- *    and re-records.
+ *  - any version other than kEntryVersion (the retired version 1
+ *    inline entry, version 2 without a header checksum, or a newer
+ *    writer) is foreign: the cache refuses it quietly and re-records.
  *  - feature bits declare semantics a reader MUST understand to use
  *    the entry. A reader that sees a bit outside kKnownFeatureBits
  *    refuses the entry cleanly (the cache re-records); a writer never
  *    sets bits it does not implement. Additive, ignorable extensions
  *    instead append sections (section count > 8) without a bit: old
  *    readers read the first eight sections and ignore the rest.
- *  - the per-section checksum (checksum64 below) covers each
- *    section's bytes; readers verify all of them at map time, so a
- *    torn or bit-flipped entry can never SIGBUS a replay later.
+ *  - checksum64 (below) covers the header and section table as one
+ *    block and each section's bytes on its own; readers verify the
+ *    header checksum before trusting any header field and every
+ *    section checksum at map time, so a torn or bit-flipped entry is
+ *    refused up front and can never SIGBUS a replay later.
  */
 
 #ifndef BRANCHLAB_TRACE_FORMAT_HH
@@ -62,14 +68,14 @@ namespace branchlab::trace
 {
 
 inline constexpr char kEntryMagic[4] = {'B', 'L', 'T', 'C'};
-inline constexpr std::uint32_t kEntryVersion = 2;
+inline constexpr std::uint32_t kEntryVersion = 3;
 
 /** Sections start on this boundary (one page on every platform we
  *  target), so plane pointers into a mapping are byte-aligned and
  *  page-cache friendly. */
 inline constexpr std::uint64_t kSectionAlign = 4096;
 
-/** The eight sections every v2 entry carries, in file order. */
+/** The eight sections every entry carries, in file order. */
 enum class EntrySection : std::size_t
 {
     Likely = 0,
@@ -95,6 +101,17 @@ inline constexpr std::uint64_t kKnownFeatureBits = 0;
 /** Fixed header bytes before the section table. */
 inline constexpr std::size_t kEntryHeaderBytes = 96;
 
+/** Bytes per section-table row. */
+inline constexpr std::size_t kSectionRecordBytes = 24;
+
+/** Offset of the header checksum in an entry whose table has
+ *  @p section_count rows: the checksum covers every byte before it. */
+inline constexpr std::uint64_t
+headerChecksumOffset(std::uint64_t section_count)
+{
+    return kEntryHeaderBytes + section_count * kSectionRecordBytes;
+}
+
 /** One section-table row. */
 struct SectionRecord
 {
@@ -103,7 +120,7 @@ struct SectionRecord
     std::uint64_t checksum = 0;
 };
 
-/** The decoded v2 header plus its section table. */
+/** The decoded header plus its section table. */
 struct EntryHeader
 {
     std::uint64_t featureBits = 0;
@@ -143,18 +160,20 @@ alignSection(std::uint64_t offset)
 }
 
 /**
- * Parse a v2 header (magic and version already verified by the
- * caller) out of @p data / @p size. Validates only the header's own
- * shape: section count >= 8 and a table that fits. @return empty
- * string on success, else a diagnostic.
+ * Parse a header (magic and version already verified by the caller)
+ * out of @p data / @p size. Validates only the header's own shape: a
+ * section table and header checksum that fit, a matching header
+ * checksum (checked before any other field is trusted), and section
+ * count >= 8. @return empty string on success, else a diagnostic.
  */
 std::string decodeEntryHeader(const std::uint8_t *data,
                               std::size_t size, EntryHeader &out);
 
 /**
- * Streaming v2 entry writer: sections are written in order, in
- * chunks of any size, and the header (with offsets, lengths, and
- * checksums accumulated along the way) is patched in by finish().
+ * Streaming entry writer: sections are written in order, in chunks of
+ * any size, and the header (with offsets, lengths, and checksums
+ * accumulated along the way, sealed by the header checksum) is
+ * patched in by finish().
  * Nothing is buffered beyond the current chunk, so a generator can
  * emit entries far larger than memory (bench/stream_smoke.cc).
  *
@@ -209,7 +228,8 @@ class EntryWriter
     }
 
     /**
-     * Pad the file, patch the header and section table, and flush.
+     * Pad the file, patch the header, section table and header
+     * checksum, and flush.
      * @return true on success; on failure @p error describes the
      * write that broke.
      */

@@ -8,11 +8,11 @@
  * and one target per event), so the array-of-structs
  * std::vector<BranchEvent> wastes most of every cache line it pulls.
  * SoaTrace keeps each field in its own column -- delta-friendly
- * address arrays plus the same LSB-first bit-planes the v2 on-disk
- * format uses, so the streaming decoder (trace/io.hh,
- * decodeEventsV2Soa) can copy the planes verbatim and fill the
- * address columns in one pass without ever materialising an event
- * vector.
+ * address arrays plus the same LSB-first bit-planes the BLTC entry
+ * (trace/format.hh) stores, so the entry writer copies the planes to
+ * disk verbatim and a mapped reader hands them to replay without a
+ * copy. The entry is also the CLI's export format (`branchlab record
+ * -o`), sealed by a header checksum like every cache entry.
  *
  * The AoS view is still available per event (event(i)) and in bulk
  * (toEvents()) for consumers that want whole events; both are exact,
@@ -131,7 +131,7 @@ class SoaTrace
     std::vector<BranchEvent> toEvents() const;
 
     /**
-     * Adopt pre-built columns (the streaming v2 decoder). The planes
+     * Adopt pre-built columns (materializeView). The planes
      * must be LSB-first with (count + 7) / 8 bytes; every address
      * column must hold exactly @p ops.size() entries. maxPc is
      * recomputed here so adopters cannot desynchronise it.
@@ -161,7 +161,8 @@ class SoaTrace
 
     std::vector<std::uint8_t> op_;
     /** LSB-first bit-planes, (size + 7) / 8 bytes each -- the same
-     *  layout the v2 payload stores, so decode is a straight copy. */
+     *  layout the entry's plane sections store, so they go to and
+     *  from disk as straight copies. */
     std::vector<std::uint8_t> conditionalPlane_;
     std::vector<std::uint8_t> takenPlane_;
     std::vector<std::uint8_t> targetKnownPlane_;

@@ -1,11 +1,10 @@
 /**
  * @file
- * Zig-zag LEB128 varint primitives shared by the v2 trace codec
- * (trace/io.cc), the sectioned cache-entry format (trace/cache.cc),
- * the zero-copy mapped cursor (trace/view.cc), and the out-of-core
- * synthetic-trace generator (bench/stream_smoke.cc).
+ * Zig-zag LEB128 varint primitives shared by the entry writer
+ * (trace/cache.cc), the zero-copy mapped cursor (trace/view.cc), and
+ * the out-of-core synthetic-trace generator (bench/stream_smoke.cc).
  *
- * The encoding is the v2 payload's: signed address differences are
+ * The encoding is the delta sections': signed address differences are
  * zig-zag mapped into small unsigneds, then emitted LEB128 (7 payload
  * bits per byte, high bit = continuation, at most 10 bytes). Real
  * traces are almost entirely one-byte deltas, which is why

@@ -4,7 +4,7 @@
  * representations of a recorded stream --
  *
  *  - borrowed: the columns of a decoded, owning SoaTrace;
- *  - mapped:   the sections of an mmap'd BLTC v2 cache entry
+ *  - mapped:   the sections of an mmap'd BLTC entry
  *              (trace/format.hh), consumed zero-copy.
  *
  * Replay is strictly sequential (every kernel is a fold over the
@@ -126,7 +126,7 @@ class TraceView
     static TraceView of(const SoaTrace &stream);
 
     /**
-     * View mapped v2 sections directly (zero-copy). @p deltas /
+     * View mapped entry sections directly (zero-copy). @p deltas /
      * @p anomaly_deltas are the varint sections; the planes are
      * LSB-first with ceil(count / 8) bytes; @p max_pc is the
      * header's declared bound, enforced per event during decode.

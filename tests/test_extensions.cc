@@ -2,12 +2,13 @@
  * @file
  * Tests for the extension modules: the delayed-branch-with-squashing
  * analysis (McFarling & Hennessy), the gshare future-baseline, the
- * refined per-class cost model, and binary trace serialization.
+ * refined per-class cost model, and binary trace files (the BLTC
+ * entry `branchlab record -o` writes).
  */
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <filesystem>
 
 #include "helpers.hh"
 #include "pipeline/cycle_sim.hh"
@@ -15,7 +16,7 @@
 #include "predict/gshare.hh"
 #include "profile/delay_fill.hh"
 #include "support/logging.hh"
-#include "trace/io.hh"
+#include "trace/cache.hh"
 #include "trace/stats.hh"
 #include "workloads/workload.hh"
 
@@ -329,8 +330,30 @@ TEST(RefinedCost, MatchesTheCycleSimulatorExactly)
 }
 
 // ---------------------------------------------------------------------
-// Trace serialization.
+// Trace files.
 // ---------------------------------------------------------------------
+
+/** Write @p events as a trace file under the test temp dir. */
+std::string
+saveTraceFile(const std::string &name,
+               const std::vector<trace::BranchEvent> &events)
+{
+    trace::CachedWorkload workload;
+    workload.stream = trace::SoaTrace::fromEvents(events);
+    const std::string path = ::testing::TempDir() + name;
+    std::string error;
+    EXPECT_TRUE(trace::writeEntryFile(path, workload, error)) << error;
+    return path;
+}
+
+/** Map a trace file; on failure @p failure says why. */
+bool
+mapTraceFile(const std::string &path, trace::CachedWorkload &out,
+             trace::MapFailure &failure)
+{
+    std::string error;
+    return trace::mapEntryFile(path, std::nullopt, out, error, failure);
+}
 
 TEST(TraceIo, RoundTripsARealTrace)
 {
@@ -338,14 +361,14 @@ TEST(TraceIo, RoundTripsARealTrace)
     trace::BranchRecorder recorder;
     test::runProgram(prog, &recorder);
     ASSERT_FALSE(recorder.events().empty());
+    const std::string path =
+        saveTraceFile("blab_ext_real.bltc", recorder.events());
 
-    std::stringstream buffer;
-    const std::size_t bytes =
-        trace::writeTrace(buffer, recorder.events());
-    EXPECT_EQ(bytes, buffer.str().size());
-
+    trace::CachedWorkload entry;
+    trace::MapFailure failure = trace::MapFailure::None;
+    ASSERT_TRUE(mapTraceFile(path, entry, failure));
     const std::vector<trace::BranchEvent> loaded =
-        trace::readTrace(buffer);
+        trace::materializeView(entry.traceView()).toEvents();
     ASSERT_EQ(loaded.size(), recorder.size());
     for (std::size_t i = 0; i < loaded.size(); ++i) {
         EXPECT_EQ(loaded[i].pc, recorder.events()[i].pc);
@@ -360,19 +383,29 @@ TEST(TraceIo, RoundTripsARealTrace)
         EXPECT_EQ(loaded[i].targetKnown,
                   recorder.events()[i].targetKnown);
     }
+    std::filesystem::remove(path);
 }
 
 TEST(TraceIo, EmptyTraceRoundTrips)
 {
-    std::stringstream buffer;
-    trace::writeTrace(buffer, std::vector<trace::BranchEvent>{});
-    EXPECT_TRUE(trace::readTrace(buffer).empty());
+    const std::string path = saveTraceFile("blab_ext_empty.bltc", {});
+    trace::CachedWorkload entry;
+    trace::MapFailure failure = trace::MapFailure::None;
+    ASSERT_TRUE(mapTraceFile(path, entry, failure));
+    EXPECT_EQ(entry.eventCount(), 0u);
+    EXPECT_TRUE(trace::materializeView(entry.traceView()).empty());
+    std::filesystem::remove(path);
 }
 
 TEST(TraceIo, RejectsBadMagic)
 {
-    std::stringstream buffer("XXXX garbage");
-    EXPECT_THROW(trace::readTrace(buffer), ConfigFailure);
+    const std::string path = ::testing::TempDir() + "blab_ext_magic.bltc";
+    test::writeFileBytes(path, "XXXX garbage");
+    trace::CachedWorkload entry;
+    trace::MapFailure failure = trace::MapFailure::None;
+    EXPECT_FALSE(mapTraceFile(path, entry, failure));
+    EXPECT_EQ(failure, trace::MapFailure::Corrupt);
+    std::filesystem::remove(path);
 }
 
 TEST(TraceIo, RejectsTruncation)
@@ -380,11 +413,15 @@ TEST(TraceIo, RejectsTruncation)
     const ir::Program prog = test::buildCountdown(5);
     trace::BranchRecorder recorder;
     test::runProgram(prog, &recorder);
-    std::stringstream buffer;
-    trace::writeTrace(buffer, recorder.events());
-    const std::string whole = buffer.str();
-    std::stringstream truncated(whole.substr(0, whole.size() - 3));
-    EXPECT_THROW(trace::readTrace(truncated), ConfigFailure);
+    const std::string path =
+        saveTraceFile("blab_ext_cut.bltc", recorder.events());
+    std::filesystem::resize_file(path,
+                                 std::filesystem::file_size(path) - 3);
+    trace::CachedWorkload entry;
+    trace::MapFailure failure = trace::MapFailure::None;
+    EXPECT_FALSE(mapTraceFile(path, entry, failure));
+    EXPECT_EQ(failure, trace::MapFailure::Corrupt);
+    std::filesystem::remove(path);
 }
 
 TEST(TraceIo, ReplayStreamsIntoASink)
@@ -392,13 +429,24 @@ TEST(TraceIo, ReplayStreamsIntoASink)
     const ir::Program prog = test::buildCountdown(9);
     trace::BranchRecorder recorder;
     test::runProgram(prog, &recorder);
-    std::stringstream buffer;
-    trace::writeTrace(buffer, recorder.events());
+    const std::string path =
+        saveTraceFile("blab_ext_sink.bltc", recorder.events());
+    trace::CachedWorkload entry;
+    trace::MapFailure failure = trace::MapFailure::None;
+    ASSERT_TRUE(mapTraceFile(path, entry, failure));
 
     trace::TraceStats stats;
-    const std::size_t delivered = trace::replayTrace(buffer, stats);
+    std::size_t delivered = 0;
+    const trace::TraceView view = entry.traceView();
+    trace::TraceView::Cursor cursor = view.cursor();
+    trace::TraceBlock block;
+    while (cursor.next(block)) {
+        for (std::size_t i = 0; i < block.count; ++i, ++delivered)
+            stats.onBranch(block.event(i));
+    }
     EXPECT_EQ(delivered, recorder.size());
     EXPECT_EQ(stats.branches(), recorder.size());
+    std::filesystem::remove(path);
 }
 
 TEST(TraceIo, FileRoundTrip)
@@ -406,10 +454,13 @@ TEST(TraceIo, FileRoundTrip)
     const ir::Program prog = test::buildCountdown(4);
     trace::BranchRecorder recorder;
     test::runProgram(prog, &recorder);
-    const std::string path = ::testing::TempDir() + "/blab_trace.bin";
-    trace::writeTraceFile(path, recorder.events());
-    EXPECT_EQ(trace::readTraceFile(path).size(), recorder.size());
-    std::remove(path.c_str());
+    const std::string path =
+        saveTraceFile("blab_ext_file.bltc", recorder.events());
+    trace::CachedWorkload entry;
+    trace::MapFailure failure = trace::MapFailure::None;
+    ASSERT_TRUE(mapTraceFile(path, entry, failure));
+    EXPECT_EQ(entry.eventCount(), recorder.size());
+    std::filesystem::remove(path);
 }
 
 } // namespace

@@ -7,11 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <sstream>
+#include <filesystem>
 
 #include "helpers.hh"
-#include "support/logging.hh"
-#include "trace/io.hh"
+#include "trace/cache.hh"
 #include "trace/soa.hh"
 #include "trace/stats.hh"
 
@@ -189,24 +188,76 @@ recordFactorialTrace()
     return recorder.takeEvents();
 }
 
+/** Write @p events as one BLTC entry file under the test temp dir
+ *  (the file `branchlab record -o` exports). @return its path. */
+std::string
+writeEvents(const std::string &name, const std::vector<BranchEvent> &events,
+            std::uint64_t content_hash = 0)
+{
+    CachedWorkload workload;
+    workload.contentHash = content_hash;
+    workload.stream = SoaTrace::fromEvents(events);
+    const std::string path = ::testing::TempDir() + name;
+    std::string error;
+    EXPECT_TRUE(writeEntryFile(path, workload, error)) << error;
+    return path;
+}
+
+/** Map @p path the way `branchlab replay` does (any embedded hash). */
+bool
+mapFile(const std::string &path, CachedWorkload &out, std::string &error,
+        MapFailure &failure)
+{
+    out = CachedWorkload{};
+    return mapEntryFile(path, std::nullopt, out, error, failure);
+}
+
+/** The events of a mapped entry file, decoded through its view. */
+std::vector<BranchEvent>
+readEvents(const std::string &path)
+{
+    CachedWorkload loaded;
+    std::string error;
+    MapFailure failure = MapFailure::None;
+    EXPECT_TRUE(mapFile(path, loaded, error, failure)) << error;
+    return materializeView(loaded.traceView()).toEvents();
+}
+
 TEST(TraceIoV2, WriteThenReadIsBitEquivalent)
 {
     const std::vector<BranchEvent> events = recordFactorialTrace();
     ASSERT_FALSE(events.empty());
+    const std::string path =
+        writeEvents("blab_trace_rt.bltc", events, 0xfeedu);
 
-    std::stringstream v2;
-    const std::size_t v2_bytes = writeTrace(v2, events, 0xfeedu);
-    EXPECT_EQ(v2_bytes, v2.str().size());
-    // The columnar layout is the point: several times smaller than
-    // 34-byte fixed records would be.
-    EXPECT_LT(v2_bytes, events.size() * 34 / 4);
-    expectSameEvents(readTrace(v2), events);
+    CachedWorkload loaded;
+    std::string error;
+    MapFailure failure = MapFailure::None;
+    ASSERT_TRUE(mapFile(path, loaded, error, failure)) << error;
+    EXPECT_EQ(loaded.contentHash, 0xfeedu);
+    ASSERT_NE(loaded.mapped, nullptr);
+    // The columnar layout is the point: the event columns are several
+    // times smaller than 34-byte fixed records would be.
+    const std::size_t n = events.size();
+    EXPECT_LT(n + 4 * ((n + 7) / 8) + loaded.mapped->deltasLen +
+                  loaded.mapped->anomalyDeltasLen,
+              n * 34 / 4);
+    expectSameEvents(materializeView(loaded.traceView()).toEvents(),
+                     events);
+
+    // A given expected hash must match the embedded one.
+    CachedWorkload keyed;
+    EXPECT_TRUE(mapEntryFile(path, 0xfeedu, keyed, error, failure));
+    EXPECT_FALSE(mapEntryFile(path, 0xbeefu, keyed, error, failure));
+    EXPECT_EQ(failure, MapFailure::Corrupt);
 
     // The retired fixed-record version 1 is refused, not decoded.
-    std::string v1 = v2.str();
+    std::string v1 = test::readFileBytes(path);
     v1[4] = '\x01';
-    std::stringstream v1_stream(v1);
-    EXPECT_THROW(readTrace(v1_stream), ConfigFailure);
+    test::writeFileBytes(path, v1);
+    EXPECT_FALSE(mapFile(path, loaded, error, failure));
+    EXPECT_EQ(failure, MapFailure::Foreign);
+    std::filesystem::remove(path);
 }
 
 TEST(TraceIoV2, AnomalousNextPcRoundTrips)
@@ -223,76 +274,146 @@ TEST(TraceIoV2, AnomalousNextPcRoundTrips)
     far.nextPc = ir::kNoAddr; // extreme delta
     events.push_back(far);
 
-    std::stringstream buffer;
-    writeTrace(buffer, events);
-    expectSameEvents(readTrace(buffer), events);
+    const std::string path = writeEvents("blab_trace_odd.bltc", events);
+    expectSameEvents(readEvents(path), events);
+    std::filesystem::remove(path);
 }
 
 TEST(TraceIoV2, EncodeDecodePayloadRoundTrips)
 {
+    // Decode the mapped entry and write the decoded stream back out:
+    // the second file must be byte-identical to the first.
     const std::vector<BranchEvent> events = recordFactorialTrace();
-    const std::string payload = encodeEventsV2(events);
-    std::vector<BranchEvent> decoded;
+    const std::string first =
+        writeEvents("blab_trace_enc1.bltc", events, 7);
+    CachedWorkload decoded;
     std::string error;
-    ASSERT_TRUE(decodeEventsV2(payload, events.size(), decoded, error))
-        << error;
-    expectSameEvents(decoded, events);
+    MapFailure failure = MapFailure::None;
+    ASSERT_TRUE(mapFile(first, decoded, error, failure)) << error;
+    expectSameEvents(materializeView(decoded.traceView()).toEvents(),
+                     events);
+
+    CachedWorkload again;
+    again.contentHash = decoded.contentHash;
+    again.stream = materializeView(decoded.traceView());
+    const std::string second =
+        ::testing::TempDir() + "blab_trace_enc2.bltc";
+    ASSERT_TRUE(writeEntryFile(second, again, error)) << error;
+    EXPECT_EQ(test::readFileBytes(second), test::readFileBytes(first));
+    std::filesystem::remove(first);
+    std::filesystem::remove(second);
 }
 
 TEST(TraceIoV2, DecodeRejectsCorruptPayloadSoftly)
 {
     const std::vector<BranchEvent> events = recordFactorialTrace();
-    const std::string payload = encodeEventsV2(events);
+    const std::string path = writeEvents("blab_trace_bad.bltc", events);
+    const std::string whole = test::readFileBytes(path);
+    EntryHeader header;
+    ASSERT_EQ(decodeEntryHeader(
+                  reinterpret_cast<const std::uint8_t *>(whole.data()),
+                  whole.size(), header),
+              "");
+    const SectionRecord &ops = header.section(EntrySection::Ops);
+    const SectionRecord &deltas = header.section(EntrySection::Deltas);
 
-    std::vector<BranchEvent> decoded;
+    CachedWorkload out;
     std::string error;
+    MapFailure failure = MapFailure::None;
     // Truncation at any depth is a clean failure, never a crash.
-    EXPECT_FALSE(decodeEventsV2(payload.substr(0, payload.size() - 2),
-                                events.size(), decoded, error));
-    EXPECT_FALSE(error.empty());
-    // Wrong count: either short columns or trailing bytes.
-    EXPECT_FALSE(
-        decodeEventsV2(payload, events.size() + 1, decoded, error));
-    // A corrupt opcode byte is diagnosed.
-    std::string bad_op = payload;
-    bad_op[0] = '\x7f';
-    EXPECT_FALSE(
-        decodeEventsV2(bad_op, events.size(), decoded, error));
+    for (const std::uint64_t cut :
+         {std::uint64_t{0}, std::uint64_t{6}, std::uint64_t{90},
+          headerChecksumOffset(kEntrySectionCount) + 4, ops.offset + 1,
+          deltas.offset + deltas.length - 2}) {
+        test::writeFileBytes(path, whole.substr(0, cut));
+        error.clear();
+        EXPECT_FALSE(mapFile(path, out, error, failure)) << cut;
+        EXPECT_FALSE(error.empty()) << cut;
+        EXPECT_EQ(failure, MapFailure::Corrupt) << cut;
+    }
+
+    // A flipped delta byte fails its section checksum.
+    std::string flipped = whole;
+    flipped[deltas.offset] = static_cast<char>(flipped[deltas.offset] ^ 1);
+    test::writeFileBytes(path, flipped);
+    EXPECT_FALSE(mapFile(path, out, error, failure));
+    EXPECT_EQ(failure, MapFailure::Corrupt);
+
+    // Wrong count (resealed, as a buggy writer would leave it): the
+    // fixed columns no longer have the declared lengths.
+    std::string recount = whole;
+    recount[72] = static_cast<char>(recount[72] + 1); // event count
+    test::writeFileBytes(path, recount);
+    test::resealEntryFile(path);
+    EXPECT_FALSE(mapFile(path, out, error, failure));
+    EXPECT_EQ(failure, MapFailure::Corrupt);
+
+    // A corrupt opcode byte behind a valid checksum is diagnosed.
+    std::string bad_op = whole;
+    bad_op[ops.offset] = '\x7f';
+    test::writeFileBytes(path, bad_op);
+    test::resealEntryFile(path);
+    EXPECT_FALSE(mapFile(path, out, error, failure));
+    EXPECT_EQ(failure, MapFailure::Corrupt);
+    EXPECT_NE(error.find("bad opcode"), std::string::npos) << error;
+    std::filesystem::remove(path);
 }
 
 TEST(TraceIoV2, RejectsUnsupportedVersion)
 {
-    // A v2 header whose version field says 99.
-    std::string raw = "BLTR";
-    raw += '\x63'; // 99, little-endian u32
-    raw += std::string(3, '\0');
-    raw += std::string(24, '\0');
-    std::stringstream buffer(raw);
-    EXPECT_THROW(readTrace(buffer), ConfigFailure);
+    const std::string path =
+        writeEvents("blab_trace_v99.bltc", recordFactorialTrace());
+    std::string bytes = test::readFileBytes(path);
+    bytes[4] = '\x63'; // 99, little-endian u32
+    test::writeFileBytes(path, bytes);
+    CachedWorkload out;
+    std::string error;
+    MapFailure failure = MapFailure::None;
+    EXPECT_FALSE(mapFile(path, out, error, failure));
+    EXPECT_EQ(failure, MapFailure::Foreign);
+    EXPECT_NE(error.find("99"), std::string::npos) << error;
+    std::filesystem::remove(path);
 }
 
 TEST(TraceIoV2, RejectsTruncatedV2Stream)
 {
-    const std::vector<BranchEvent> events = recordFactorialTrace();
-    std::stringstream buffer;
-    writeTrace(buffer, events);
-    const std::string whole = buffer.str();
-    std::stringstream truncated(whole.substr(0, whole.size() - 5));
-    EXPECT_THROW(readTrace(truncated), ConfigFailure);
+    const std::string path =
+        writeEvents("blab_trace_cut.bltc", recordFactorialTrace());
+    std::filesystem::resize_file(path,
+                                 std::filesystem::file_size(path) - 5);
+    CachedWorkload out;
+    std::string error;
+    MapFailure failure = MapFailure::None;
+    EXPECT_FALSE(mapFile(path, out, error, failure));
+    EXPECT_EQ(failure, MapFailure::Corrupt);
+    EXPECT_EQ(out.mapped, nullptr);
+    std::filesystem::remove(path);
 }
 
 TEST(TraceIoV2, ReplayDeliversEveryEvent)
 {
     const std::vector<BranchEvent> events = recordFactorialTrace();
-    std::stringstream v2;
-    writeTrace(v2, events);
+    const std::string path = writeEvents("blab_trace_sink.bltc", events);
+    CachedWorkload loaded;
+    std::string error;
+    MapFailure failure = MapFailure::None;
+    ASSERT_TRUE(mapFile(path, loaded, error, failure)) << error;
 
     TraceStats replayed, direct;
-    EXPECT_EQ(replayTrace(v2, replayed), events.size());
+    const TraceView view = loaded.traceView();
+    TraceView::Cursor cursor = view.cursor();
+    TraceBlock block;
+    std::size_t delivered = 0;
+    while (cursor.next(block)) {
+        for (std::size_t i = 0; i < block.count; ++i, ++delivered)
+            replayed.onBranch(block.event(i));
+    }
+    EXPECT_EQ(delivered, events.size());
     for (const BranchEvent &event : events)
         direct.onBranch(event);
     EXPECT_EQ(replayed.branches(), direct.branches());
     EXPECT_EQ(replayed.conditionalTaken(), direct.conditionalTaken());
+    std::filesystem::remove(path);
 }
 
 // ---------------------------------------------------------------------
@@ -323,23 +444,33 @@ TEST(SoaTrace, FromEventsToEventsRoundTripsBitExactly)
 TEST(SoaTrace, StreamingDecodeMatchesEventDecode)
 {
     const std::vector<BranchEvent> events = recordFactorialTrace();
-    const std::string payload = encodeEventsV2(events);
+    const SoaTrace expected = SoaTrace::fromEvents(events);
+    const std::string path = writeEvents("blab_trace_soa.bltc", events);
 
-    // Decoding straight into columns must agree with the event-vector
-    // decoder, and re-encoding the SoA form must be byte-identical.
-    SoaTrace decoded;
+    // Decoding the mapped sections straight into columns must agree
+    // with the event-built columns, plane bytes included.
+    CachedWorkload loaded;
     std::string error;
-    ASSERT_TRUE(
-        decodeEventsV2Soa(payload, events.size(), decoded, error))
-        << error;
+    MapFailure failure = MapFailure::None;
+    ASSERT_TRUE(mapFile(path, loaded, error, failure)) << error;
+    const SoaTrace decoded = materializeView(loaded.traceView());
+    EXPECT_EQ(decoded.ops(), expected.ops());
+    EXPECT_EQ(decoded.conditionalPlane(), expected.conditionalPlane());
+    EXPECT_EQ(decoded.takenPlane(), expected.takenPlane());
+    EXPECT_EQ(decoded.targetKnownPlane(), expected.targetKnownPlane());
+    EXPECT_EQ(decoded.pc(), expected.pc());
+    EXPECT_EQ(decoded.nextPc(), expected.nextPc());
+    EXPECT_EQ(decoded.targetAddr(), expected.targetAddr());
+    EXPECT_EQ(decoded.fallthroughAddr(), expected.fallthroughAddr());
+    EXPECT_EQ(decoded.maxPc(), expected.maxPc());
     expectSameEvents(decoded.toEvents(), events);
-    EXPECT_EQ(encodeEventsV2(decoded), payload);
 
-    // Corruption fails softly on the SoA path as well.
-    SoaTrace scratch;
-    EXPECT_FALSE(decodeEventsV2Soa(payload.substr(0, payload.size() - 2),
-                                   events.size(), scratch, error));
+    // Corruption fails softly on the mapped path as well.
+    std::filesystem::resize_file(path,
+                                 std::filesystem::file_size(path) - 2);
+    EXPECT_FALSE(mapFile(path, loaded, error, failure));
     EXPECT_FALSE(error.empty());
+    std::filesystem::remove(path);
 }
 
 TEST(SoaTrace, AdoptColumnsRecomputesMaxPc)

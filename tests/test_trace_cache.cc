@@ -12,12 +12,14 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <thread>
 #include <vector>
 
 #include "core/runner.hh"
 #include "helpers.hh"
 #include "obs/metrics.hh"
+#include "profile/forward_slots.hh"
 #include "trace/cache.hh"
 #include "trace/format.hh"
 #include "workloads/corpus.hh"
@@ -232,8 +234,9 @@ TEST(TraceCache, BitFlippedEntryCountsAsCorruptTelemetry)
         cache.entryPath("fact", stored.contentHash);
 
     // Flip one bit of the embedded content hash (bytes 16..23 of the
-    // v2 header, after magic + version + feature bits): the file
-    // still parses but the hash check must reject it as corrupt.
+    // header, after magic + version + feature bits) and reseal the
+    // header checksum: the file still parses but the hash check must
+    // reject it as corrupt.
     {
         std::fstream file(
             path, std::ios::binary | std::ios::in | std::ios::out);
@@ -245,6 +248,7 @@ TEST(TraceCache, BitFlippedEntryCountsAsCorruptTelemetry)
         file.seekp(16);
         file.put(byte);
     }
+    test::resealEntryFile(path);
 
     obs::Counter &corrupt =
         obs::Registry::global().counter("trace_cache.corrupt_entries");
@@ -282,10 +286,12 @@ TEST(TraceCache, UnknownFeatureBitsRefuseWithoutCorruptionWarning)
     const std::string path =
         cache.entryPath("fact", stored.contentHash);
 
-    // Set an undefined feature bit (header bytes 8..15): the entry is
-    // structurally valid but written by a future writer, so the load
-    // must refuse it -- as a foreign entry, not a corrupt one.
+    // Set an undefined feature bit (header bytes 8..15) under a valid
+    // header checksum: the entry is structurally valid but written by
+    // a future writer, so the load must refuse it -- as a foreign
+    // entry, not a corrupt one.
     patchByte(path, 8, 0x10);
+    test::resealEntryFile(path);
 
     obs::Counter &corrupt =
         obs::Registry::global().counter("trace_cache.corrupt_entries");
@@ -312,12 +318,15 @@ TEST(TraceCache, BadSectionLengthIsRejectedAsCorrupt)
         cache.entryPath("fact", stored.contentHash);
 
     // Blow up the Ops section's recorded length (section-table row 1,
-    // 8 bytes into the {offset, length, checksum} record): the
-    // section no longer fits the file, so mapping must reject the
-    // entry instead of reading out of bounds.
+    // 8 bytes into the {offset, length, checksum} record) and reseal
+    // the header checksum, as a buggy writer would: the section no
+    // longer fits the file, so mapping must reject the entry instead
+    // of reading out of bounds.
     const std::streamoff ops_length_at =
-        static_cast<std::streamoff>(kEntryHeaderBytes) + 24 + 8;
+        static_cast<std::streamoff>(kEntryHeaderBytes) +
+        kSectionRecordBytes + 8;
     patchByte(path, ops_length_at + 6, 0x7f);
+    test::resealEntryFile(path);
 
     obs::Counter &corrupt =
         obs::Registry::global().counter("trace_cache.corrupt_entries");
@@ -382,20 +391,25 @@ TEST(TraceCache, MapEntryFileClassifiesCorruptVersusForeign)
     ASSERT_NE(out.mapped, nullptr);
     EXPECT_EQ(out.eventCount(), stored.stream.size());
 
-    // Foreign: valid entry, undefined feature bit.
+    // Foreign: valid entry (header checksum resealed), undefined
+    // feature bit.
     patchByte(path, 8, 0x01);
+    test::resealEntryFile(path);
     out = CachedWorkload{};
     EXPECT_FALSE(
         mapEntryFile(path, stored.contentHash, out, error, failure));
     EXPECT_EQ(failure, MapFailure::Foreign);
     patchByte(path, 8, 0x01); // restore
+    test::resealEntryFile(path);
 
-    // Foreign: another format version -- the retired v1 inline entry
-    // or a future v3 -- is refused quietly and re-recorded, never
-    // reported as corrupt.
+    // Foreign: another format version -- the retired v1 inline entry,
+    // a v2 entry without a header checksum, or a future v4 -- is
+    // refused quietly and re-recorded, never reported as corrupt.
+    static_assert(kEntryVersion == 3);
     obs::Counter &corrupt =
         obs::Registry::global().counter("trace_cache.corrupt_entries");
-    for (const unsigned char version_mask : {0x03, 0x01}) { // 1, 3
+    // Masks over version 3: 1, 2 and 4.
+    for (const unsigned char version_mask : {0x02, 0x01, 0x07}) {
         patchByte(path, 4, version_mask);
         out = CachedWorkload{};
         EXPECT_FALSE(mapEntryFile(path, stored.contentHash, out, error,
@@ -416,6 +430,61 @@ TEST(TraceCache, MapEntryFileClassifiesCorruptVersusForeign)
     EXPECT_FALSE(
         mapEntryFile(path, stored.contentHash, out, error, failure));
     EXPECT_EQ(failure, MapFailure::Corrupt);
+    std::filesystem::remove_all(dir);
+}
+
+TEST(TraceCache, EveryHeaderBitFlipIsRefused)
+{
+    // The header checksum seals the header and the section table: one
+    // flipped bit anywhere in them -- run count, stats, max pc, a
+    // section row, the checksum itself -- is refused as Corrupt (or
+    // Foreign, for the version field), never served. Mapped without
+    // an expected hash, as `branchlab replay` maps an exported file,
+    // so not even the content hash is cross-checked.
+    const std::string dir = makeCacheDir("flip_every_bit");
+    std::filesystem::create_directories(dir);
+    const std::string path = dir + "/fact.bltc";
+    std::string error;
+    ASSERT_TRUE(writeEntryFile(path, makeWorkload(), error)) << error;
+    const std::string pristine = test::readFileBytes(path);
+    const std::size_t sealed =
+        headerChecksumOffset(kEntrySectionCount) + 8;
+    ASSERT_LT(sealed, pristine.size());
+
+    std::vector<std::string> accepted;
+    for (std::size_t byte = 0; byte < sealed; ++byte) {
+        for (unsigned bit = 0; bit < 8; ++bit) {
+            std::string flipped = pristine;
+            flipped[byte] = static_cast<char>(flipped[byte] ^ (1u << bit));
+            test::writeFileBytes(path, flipped);
+            CachedWorkload out;
+            MapFailure failure = MapFailure::None;
+            if (mapEntryFile(path, std::nullopt, out, error, failure)) {
+                accepted.push_back("byte " + std::to_string(byte) +
+                                   " bit " + std::to_string(bit));
+            } else {
+                EXPECT_NE(failure, MapFailure::None);
+            }
+        }
+    }
+    EXPECT_TRUE(accepted.empty())
+        << accepted.size() << " flips accepted, first: " << accepted[0];
+    std::filesystem::remove_all(dir);
+}
+
+TEST(TraceCache, WriteEntryFileWritesTheStoredEntry)
+{
+    // The file `branchlab record -o` exports is the cache's entry.
+    const std::string dir = makeCacheDir("export");
+    const TraceCache cache(dir);
+    const CachedWorkload stored = makeWorkload();
+    cache.store("fact", stored);
+    const std::string exported = dir + "/exported.bltc";
+    std::string error;
+    ASSERT_TRUE(writeEntryFile(exported, stored, error)) << error;
+    EXPECT_EQ(test::readFileBytes(exported),
+              test::readFileBytes(
+                  cache.entryPath("fact", stored.contentHash)));
     std::filesystem::remove_all(dir);
 }
 
@@ -591,6 +660,77 @@ TEST(TraceCacheIntegration, WarmRecordWorkloadIsBitIdentical)
         ASSERT_NE(it, warm.likelyMap.end());
         EXPECT_EQ(it->second.likelyTaken, info.likelyTaken);
         EXPECT_EQ(it->second.dominantTarget, info.dominantTarget);
+    }
+    std::filesystem::remove_all(dir);
+}
+
+TEST(TraceCacheIntegration, RecordedEntryIsTheSameColdAndWarm)
+{
+    // What `branchlab record -o` writes: the entry of a cold record
+    // (VM pass) and of a warm hit (mapped, decoded) must be
+    // byte-identical to each other and to the cache's own entry.
+    const std::string dir = makeCacheDir("record_export");
+    const core::ExperimentConfig config = cachedConfig(dir);
+    const workloads::Workload &workload =
+        workloads::findWorkload("tee");
+    const auto exported = [&](bool expect_hit) {
+        core::RecordedWorkload recorded =
+            core::recordWorkload(workload, config);
+        EXPECT_EQ(recorded.cacheHit, expect_hit);
+        const std::string path = dir + "/exported.bltc";
+        std::string error;
+        EXPECT_TRUE(writeEntryFile(path, core::takeCacheEntry(recorded),
+                                   error))
+            << error;
+        return test::readFileBytes(path);
+    };
+    const std::string cold = exported(false);
+    const std::string warm = exported(true);
+    EXPECT_EQ(cold, warm);
+    const TraceCache cache(dir);
+    EXPECT_EQ(cold, test::readFileBytes(cache.entryPath(
+                        "tee", core::workloadContentHash(workload,
+                                                         config))));
+    std::filesystem::remove_all(dir);
+}
+
+TEST(TraceCacheIntegration, ResolvedProfileMatchesTheRecordPass)
+{
+    // A cold record keeps the online profile; a warm hit folds the
+    // mapped stream back into one. Both must agree.
+    const std::string dir = makeCacheDir("profile");
+    const core::ExperimentConfig config = cachedConfig(dir);
+    const workloads::Workload &workload =
+        workloads::findWorkload("wc");
+    const core::RecordedWorkload cold =
+        core::recordWorkload(workload, config);
+    const core::RecordedWorkload warm =
+        core::recordWorkload(workload, config);
+    ASSERT_NE(cold.profile, nullptr);
+    ASSERT_EQ(warm.profile, nullptr);
+
+    std::optional<profile::ProgramProfile> unused;
+    std::optional<profile::ProgramProfile> rebuilt;
+    const profile::ProgramProfile &online =
+        core::resolveProfile(cold, unused);
+    EXPECT_EQ(&online, cold.profile.get());
+    EXPECT_FALSE(unused.has_value());
+    const profile::ProgramProfile &folded =
+        core::resolveProfile(warm, rebuilt);
+    EXPECT_EQ(&folded, &*rebuilt);
+
+    const predict::LikelyMap a = online.buildLikelyMap();
+    const predict::LikelyMap b = folded.buildLikelyMap();
+    ASSERT_EQ(a.size(), b.size());
+    for (const auto &[pc, info] : a) {
+        const auto it = b.find(pc);
+        ASSERT_NE(it, b.end());
+        EXPECT_EQ(it->second.likelyTaken, info.likelyTaken);
+        EXPECT_EQ(it->second.dominantTarget, info.dominantTarget);
+    }
+    for (const unsigned slots : {1u, 2u}) {
+        EXPECT_EQ(profile::codeIncreaseFor(online, slots, 0.5),
+                  profile::codeIncreaseFor(folded, slots, 0.5));
     }
     std::filesystem::remove_all(dir);
 }

@@ -6,8 +6,8 @@
  *
  *   branchlab list
  *   branchlab stats  <benchmark> [--runs N] [--seed S]
- *   branchlab record <benchmark> -o trace.bin [--runs N] [--seed S]
- *   branchlab replay <trace.bin> --scheme <name> [--flush-every Q]
+ *   branchlab record <benchmark> -o trace.bltc [--runs N] [--seed S]
+ *   branchlab replay <trace.bltc> --scheme <name> [--flush-every Q]
  *   branchlab tables [--runs N] [--seed S]
  *   branchlab figures [--runs N] [--seed S]
  *   branchlab client --connect ADDR [--workloads a,b,...]
@@ -20,9 +20,15 @@
  * the served cells (no hit flags), so two rounds against a warm
  * store must compare byte-identical.
  *
+ * The trace file is a BLTC entry (trace/format.hh), byte-identical
+ * to the trace cache's entry for the same benchmark and settings;
+ * replay maps it and walks it zero-copy, so memory does not grow with
+ * the trace's length.
+ *
  * Scheme names: sbtb, cbtb, gshare, always-taken, always-not-taken,
- * btfnt, opcode-bias, fs (fs derives its likely bits from the trace
- * itself, the paper's same-inputs methodology).
+ * btfnt, opcode-bias, fs (fs takes its likely bits from the profile
+ * the entry carries, folded over the very same events -- the paper's
+ * same-inputs methodology).
  */
 
 #include <chrono>
@@ -44,7 +50,7 @@
 #include "predict/static_predictors.hh"
 #include "serve/client.hh"
 #include "support/logging.hh"
-#include "trace/io.hh"
+#include "trace/cache.hh"
 
 using namespace branchlab;
 
@@ -58,9 +64,9 @@ usage()
         << "usage:\n"
            "  branchlab list\n"
            "  branchlab stats  <benchmark> [--runs N] [--seed S]\n"
-           "  branchlab record <benchmark> -o FILE [--runs N] "
+           "  branchlab record <benchmark> -o trace.bltc [--runs N] "
            "[--seed S]\n"
-           "  branchlab replay <FILE> --scheme NAME "
+           "  branchlab replay <trace.bltc> --scheme NAME "
            "[--flush-every Q]\n"
            "  branchlab tables [--runs N] [--seed S] [--jobs N]\n"
            "  branchlab figures [--runs N] [--seed S] [--jobs N]\n"
@@ -169,46 +175,9 @@ makeConfig(const Options &options)
     return config;
 }
 
-/** Derive FS likely bits straight from a recorded event stream. */
-predict::LikelyMap
-likelyMapFromEvents(const std::vector<trace::BranchEvent> &events)
-{
-    struct Counts
-    {
-        std::uint64_t taken = 0;
-        std::uint64_t not_taken = 0;
-        std::map<ir::Addr, std::uint64_t> targets;
-    };
-    std::unordered_map<ir::Addr, Counts> table;
-    for (const trace::BranchEvent &event : events) {
-        Counts &counts = table[event.pc];
-        if (event.taken)
-            ++counts.taken;
-        else
-            ++counts.not_taken;
-        ++counts.targets[event.nextPc];
-    }
-    predict::LikelyMap map;
-    for (const auto &[pc, counts] : table) {
-        predict::LikelyInfo info;
-        info.likelyTaken = counts.taken > counts.not_taken;
-        ir::Addr best = ir::kNoAddr;
-        std::uint64_t best_count = 0;
-        for (const auto &[addr, count] : counts.targets) {
-            if (count > best_count) {
-                best = addr;
-                best_count = count;
-            }
-        }
-        info.dominantTarget = best;
-        map.emplace(pc, info);
-    }
-    return map;
-}
-
 std::unique_ptr<predict::BranchPredictor>
 makeScheme(const std::string &name,
-           const std::vector<trace::BranchEvent> &events)
+           const std::vector<trace::CachedLikely> &likely)
 {
     if (name == "sbtb")
         return std::make_unique<predict::SimpleBtb>();
@@ -226,7 +195,7 @@ makeScheme(const std::string &name,
         return std::make_unique<predict::OpcodeBias>();
     if (name == "fs") {
         return std::make_unique<predict::ProfilePredictor>(
-            likelyMapFromEvents(events));
+            core::cachedToLikely(likely));
     }
     blab_fatal("unknown scheme '", name, "'");
 }
@@ -270,12 +239,11 @@ cmdRecord(const std::string &name, const Options &options)
         blab_fatal("record needs -o FILE");
     core::RecordedWorkload recorded = core::recordWorkload(
         workloads::findWorkload(name), makeConfig(options));
-    // writeTraceFile wants the whole stream; decode a mapped warm
-    // hit into an owning copy first.
-    const trace::SoaTrace &stream = recorded.materializedStream();
-    trace::writeTraceFile(options.output, stream,
-                          recorded.contentHash);
-    std::cout << "wrote " << stream.size() << " events to "
+    const trace::CachedWorkload entry = core::takeCacheEntry(recorded);
+    std::string error;
+    if (!trace::writeEntryFile(options.output, entry, error))
+        blab_fatal("cannot write '", options.output, "': ", error);
+    std::cout << "wrote " << entry.stream.size() << " events to "
               << options.output << "\n";
     return 0;
 }
@@ -285,10 +253,13 @@ cmdReplay(const std::string &path, const Options &options)
 {
     if (options.scheme.empty())
         blab_fatal("replay needs --scheme NAME");
-    const std::vector<trace::BranchEvent> events =
-        trace::readTraceFile(path);
+    trace::CachedWorkload entry;
+    std::string error;
+    trace::MapFailure failure = trace::MapFailure::None;
+    if (!trace::mapEntryFile(path, std::nullopt, entry, error, failure))
+        blab_fatal("cannot replay '", path, "': ", error);
     std::unique_ptr<predict::BranchPredictor> scheme =
-        makeScheme(options.scheme, events);
+        makeScheme(options.scheme, entry.likely);
     predict::BranchPredictor *predictor = scheme.get();
     std::unique_ptr<predict::FlushingPredictor> flushed;
     if (options.flushEvery != 0) {
@@ -296,11 +267,8 @@ cmdReplay(const std::string &path, const Options &options)
             *scheme, options.flushEvery);
         predictor = flushed.get();
     }
-    predict::PredictionDriver driver(*predictor);
-    for (const trace::BranchEvent &event : events)
-        driver.onBranch(event);
-    const double a = driver.stats().accuracy.ratio();
-    std::cout << predictor->name() << " over " << events.size()
+    const double a = core::replay(entry.traceView(), *predictor).accuracy;
+    std::cout << predictor->name() << " over " << entry.eventCount()
               << " branches:\n"
               << "  accuracy          " << formatPercent(a, 2) << "\n"
               << "  cost @ depth 4    "
