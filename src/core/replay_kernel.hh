@@ -1,18 +1,22 @@
 /**
  * @file
- * Kernel-dispatched replay: the engine-side registry that maps a
- * (scheme, config) pair onto a monomorphized replay kernel
- * (predict/replay_kernels.hh), falling back to the virtual-dispatch
- * PredictionDriver path for anything it does not recognise.
+ * Kernel-dispatched replay: the engine side of the one stream walk
+ * (predict::walkStream). Every entry point here maps its specs onto
+ * the walk's two consumer kinds and walks the stream once:
  *
- * The fallback is not an afterthought -- it *is* the reference
- * semantics. Kernels are an optimisation bound by differential tests
- * to produce bit-identical results; any spec the registry cannot
- * match (custom bias maps, traces whose pcs exceed the flat-table
- * bound, future schemes) silently takes the virtual path and is
- * merely slower. Coverage is observable via the
- * engine.replay.kernel.{specialized,fallback,batch} counters; CI
- * gates fallback == 0 for the paper's schemes.
+ *  - a kernel (predict/replay_kernels.hh) for each spec that has one
+ *    on this stream (engine.replay.kernel.specialized);
+ *  - a sink -- a PredictionDriver over makePredictor(spec) -- for
+ *    each spec that does not (engine.replay.kernel.fallback), plus
+ *    any caller sinks riding the same walk (the warm Table 5 profile
+ *    fold).
+ *
+ * The driver path is not an afterthought -- it *is* the reference
+ * semantics, and it has one job here: the route for specs without a
+ * kernel (streams whose pcs exceed the flat-table bound, custom
+ * schemes). Kernels are an optimisation bound by differential tests
+ * to produce bit-identical results. CI gates fallback == 0 for the
+ * paper's schemes.
  */
 
 #ifndef BRANCHLAB_CORE_REPLAY_KERNEL_HH
@@ -54,46 +58,21 @@ struct KernelSpec
     const predict::LikelyMap *likely = nullptr;
 };
 
-/** One registry row: can this spec run as a kernel on this stream,
- *  and if so, run it. Streams arrive as views, so one row serves both
- *  decoded SoA traces and mmap'd cache entries. */
-struct KernelRegistration
-{
-    const char *name;
-    bool (*matches)(const KernelSpec &spec,
-                    const trace::TraceView &view);
-    predict::KernelReplayResult (*run)(const KernelSpec &spec,
-                                       const trace::TraceView &view);
-};
-
-/** The ordered kernel registry (first match wins). */
-const std::vector<KernelRegistration> &kernelRegistry();
-
 /** Build the virtual-dispatch predictor a spec describes (the
- *  fallback path, and the reference half of differential tests). */
+ *  fallback route, and the reference half of differential tests). */
 std::unique_ptr<predict::BranchPredictor>
 makePredictor(const KernelSpec &spec);
 
 /**
- * Replay a stream against one spec: a registered kernel when one
- * matches (engine.replay.kernel.specialized), the virtual path
- * otherwise (engine.replay.kernel.fallback). Results are bit-
- * identical either way.
+ * Replay a stream against several specs in one walk. Each spec gets a
+ * kernel when it has one on this stream, else a PredictionDriver
+ * sink; @p sinks ride the same walk and see every event in order.
+ * Results are in spec order and bit-identical either way.
  */
-ReplayResult replayKernel(const trace::TraceView &view,
-                          const KernelSpec &spec);
-
-inline ReplayResult
-replayKernel(const trace::SoaTrace &stream, const KernelSpec &spec)
-{
-    return replayKernel(trace::TraceView::of(stream), spec);
-}
-
-/** Replay a stream against several specs in one fused trace walk.
- *  Results are in spec order. */
 std::vector<ReplayResult>
 replayManyKernel(const trace::TraceView &view,
-                 const std::vector<KernelSpec> &specs);
+                 const std::vector<KernelSpec> &specs,
+                 const std::vector<trace::TraceSink *> &sinks = {});
 
 inline std::vector<ReplayResult>
 replayManyKernel(const trace::SoaTrace &stream,
@@ -102,22 +81,20 @@ replayManyKernel(const trace::SoaTrace &stream,
     return replayManyKernel(trace::TraceView::of(stream), specs);
 }
 
+/** Replay a stream against one spec: replayManyKernel({spec})[0]. */
+ReplayResult replayKernel(const trace::TraceView &view,
+                          const KernelSpec &spec);
+
 /**
- * Batch-replay both hardware schemes at N sweep grid points in one
- * walk of the stream (engine.replay.kernel.batch). Falls back to
- * point-by-point virtual replay for ineligible streams; every cell is
- * bit-identical to a standalone replay of its point.
+ * Replay both hardware schemes at N sweep grid points in one walk:
+ * replayManyKernel over the 2N specs (sbtb0, cbtb0, sbtb1, ...),
+ * mapped back into cells (engine.replay.kernel.batch counts the
+ * batches whose stream has kernels). Every cell is bit-identical to
+ * a standalone replay of its point.
  */
 std::vector<predict::BtbBatchCell>
 replayBatch(const trace::TraceView &view,
             const std::vector<predict::BtbBatchPoint> &points);
-
-inline std::vector<predict::BtbBatchCell>
-replayBatch(const trace::SoaTrace &stream,
-            const std::vector<predict::BtbBatchPoint> &points)
-{
-    return replayBatch(trace::TraceView::of(stream), points);
-}
 
 } // namespace branchlab::core
 

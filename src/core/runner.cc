@@ -9,6 +9,7 @@
 #include "obs/metrics.hh"
 #include "obs/span.hh"
 #include "predict/profile_predictor.hh"
+#include "predict/replay_kernels.hh"
 #include "profile/profile.hh"
 #include "support/durable_dir.hh"
 #include "support/logging.hh"
@@ -134,6 +135,19 @@ applyCodeSizeTransform(const profile::ProgramProfile &profile,
     }
 }
 
+/** A fresh profile of @p recorded's program in @p storage, its runs
+ *  noted: folding the recorded stream into it rebuilds the record
+ *  pass's profile bit-identically. */
+profile::ProgramProfile &
+emptyProfile(const RecordedWorkload &recorded,
+             std::optional<profile::ProgramProfile> &storage)
+{
+    storage.emplace(*recorded.program, *recorded.layout);
+    for (unsigned r = 0; r < recorded.runs; ++r)
+        storage->noteRun();
+    return *storage;
+}
+
 } // namespace
 
 BenchmarkResult
@@ -148,9 +162,9 @@ ExperimentRunner::runBenchmark(const workloads::Workload &workload) const
     result.runs = recorded.runs;
     result.stats = recorded.stats;
 
-    // ---- Replay the recorded stream against every scheme through
-    // the kernel dispatch layer (one monomorphized pass per scheme,
-    // virtual fallback for anything unregistered). The schemes never
+    // ---- Replay the recorded stream against every scheme in one
+    // stream walk (a kernel per scheme, a driver sink for any scheme
+    // without one). The schemes never
     // interact, so the replays observe exactly the stream the seed
     // engine's online fan-out delivered. The FS is profiled over the
     // recorded runs and measured over the very same stream
@@ -186,8 +200,14 @@ ExperimentRunner::runBenchmark(const workloads::Workload &workload) const
     specs.reserve(schemes.size());
     for (const auto &[name, spec] : schemes)
         specs.push_back(spec);
+    // A warm hit carries no profile; Table 5's is rebuilt by folding
+    // the stream into it as a sink of this same walk.
+    std::optional<profile::ProgramProfile> rebuilt;
+    std::vector<trace::TraceSink *> sinks;
+    if (config_.runCodeSize && recorded.profile == nullptr)
+        sinks.push_back(&emptyProfile(recorded, rebuilt));
     const std::vector<ReplayResult> replays =
-        replayManyKernel(recorded.traceView(), specs);
+        replayManyKernel(recorded.traceView(), specs, sinks);
 
     for (std::size_t i = 0; i < schemes.size(); ++i) {
         const SchemeResult scheme{schemes[i].first, replays[i].accuracy,
@@ -210,9 +230,9 @@ ExperimentRunner::runBenchmark(const workloads::Workload &workload) const
     }
 
     if (config_.runCodeSize) {
-        std::optional<profile::ProgramProfile> rebuilt;
-        applyCodeSizeTransform(resolveProfile(recorded, rebuilt),
-                               config_, result);
+        applyCodeSizeTransform(
+            recorded.profile != nullptr ? *recorded.profile : *rebuilt,
+            config_, result);
     }
 
     return result;
@@ -298,8 +318,8 @@ takeCacheEntry(RecordedWorkload &recorded)
     entry.runs = recorded.runs;
     entry.stats = recorded.stats.counters();
     entry.likely = likelyToCached(recorded.likelyMap);
-    recorded.materializedStream();
     entry.stream = std::move(recorded.stream);
+    entry.mapped = std::move(recorded.mapped);
     return entry;
 }
 
@@ -320,16 +340,18 @@ resolveProfile(const RecordedWorkload &recorded,
 {
     if (recorded.profile != nullptr)
         return *recorded.profile;
-    storage.emplace(*recorded.program, *recorded.layout);
-    for (unsigned r = 0; r < recorded.runs; ++r)
-        storage->noteRun();
-    const trace::TraceView view = recorded.traceView();
-    trace::TraceView::Cursor cursor = view.cursor();
-    trace::TraceBlock block;
-    while (cursor.next(block))
-        for (std::size_t i = 0; i < block.count; ++i)
-            storage->onBranch(block.event(i));
+    const obs::ScopedSpan span("engine.profile");
+    predict::walkStream(recorded.traceView(), {},
+                        {&emptyProfile(recorded, storage)});
     return *storage;
+}
+
+std::vector<trace::BranchEvent>
+RecordedWorkload::events() const
+{
+    trace::BranchRecorder recorder(static_cast<std::size_t>(eventCount()));
+    predict::walkStream(traceView(), {}, {&recorder});
+    return recorder.takeEvents();
 }
 
 void
@@ -342,10 +364,6 @@ noteReplayTelemetry(std::size_t event_count, std::size_t scheme_count)
         registry.counter("engine.replay.schemes").add(scheme_count);
 }
 
-namespace
-{
-
-/** Fold one finished driver's measurements into a ReplayResult. */
 ReplayResult
 driverResult(const predict::PredictionDriver &driver,
              const predict::BranchPredictor &predictor)
@@ -359,54 +377,11 @@ driverResult(const predict::PredictionDriver &driver,
     return result;
 }
 
-} // namespace
-
-ReplayResult
-replay(const std::vector<trace::BranchEvent> &events,
-       predict::BranchPredictor &predictor)
-{
-    const obs::ScopedSpan span("engine.replay");
-    noteReplayTelemetry(events.size(), 0);
-    predict::PredictionDriver driver(predictor);
-    for (const trace::BranchEvent &event : events)
-        driver.onBranch(event);
-    return driverResult(driver, predictor);
-}
-
 ReplayResult
 replay(const trace::TraceView &view,
        predict::BranchPredictor &predictor)
 {
-    const obs::ScopedSpan span("engine.replay");
-    noteReplayTelemetry(view.size(), 0);
-    predict::PredictionDriver driver(predictor);
-    trace::TraceView::Cursor cursor = view.cursor();
-    trace::TraceBlock block;
-    while (cursor.next(block))
-        for (std::size_t i = 0; i < block.count; ++i)
-            driver.onBranch(block.event(i));
-    return driverResult(driver, predictor);
-}
-
-std::vector<ReplayResult>
-replayMany(const std::vector<trace::BranchEvent> &events,
-           const std::vector<predict::BranchPredictor *> &predictors)
-{
-    const obs::ScopedSpan span("engine.replay");
-    noteReplayTelemetry(events.size(), predictors.size());
-    std::vector<predict::PredictionDriver> drivers;
-    drivers.reserve(predictors.size());
-    for (predict::BranchPredictor *predictor : predictors)
-        drivers.emplace_back(*predictor);
-    for (const trace::BranchEvent &event : events) {
-        for (predict::PredictionDriver &driver : drivers)
-            driver.onBranch(event);
-    }
-    std::vector<ReplayResult> results;
-    results.reserve(predictors.size());
-    for (std::size_t i = 0; i < drivers.size(); ++i)
-        results.push_back(driverResult(drivers[i], *predictors[i]));
-    return results;
+    return replayMany(view, {&predictor})[0];
 }
 
 std::vector<ReplayResult>
@@ -417,17 +392,10 @@ replayMany(const trace::TraceView &view,
     noteReplayTelemetry(view.size(), predictors.size());
     std::vector<predict::PredictionDriver> drivers;
     drivers.reserve(predictors.size());
+    std::vector<trace::TraceSink *> sinks;
     for (predict::BranchPredictor *predictor : predictors)
-        drivers.emplace_back(*predictor);
-    trace::TraceView::Cursor cursor = view.cursor();
-    trace::TraceBlock block;
-    while (cursor.next(block)) {
-        for (std::size_t i = 0; i < block.count; ++i) {
-            const trace::BranchEvent event = block.event(i);
-            for (predict::PredictionDriver &driver : drivers)
-                driver.onBranch(event);
-        }
-    }
+        sinks.push_back(&drivers.emplace_back(*predictor));
+    predict::walkStream(view, {}, sinks);
     std::vector<ReplayResult> results;
     results.reserve(predictors.size());
     for (std::size_t i = 0; i < drivers.size(); ++i)

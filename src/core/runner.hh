@@ -49,10 +49,8 @@ namespace branchlab::core
  *
  * The stream arrives in one of two forms: an owning SoaTrace in
  * `stream` (cold records), or a zero-copy mmap'd cache entry in
- * `mapped` with `stream` empty (warm hits).
- * Replay consumers should use traceView(), which papers over the
- * difference; whole-stream consumers can force an owning copy with
- * materializedStream().
+ * `mapped` with `stream` empty (warm hits). Replay consumers use
+ * traceView(), which papers over the difference.
  */
 struct RecordedWorkload
 {
@@ -93,37 +91,9 @@ struct RecordedWorkload
         return mapped ? mapped->eventCount : stream.size();
     }
 
-    /**
-     * The stream as an owning SoaTrace, decoding a mapped entry into
-     * `stream` on first use (one full-stream copy -- replay paths
-     * should stay on traceView() instead). Idempotent.
-     */
-    const trace::SoaTrace &
-    materializedStream()
-    {
-        if (mapped != nullptr && stream.size() == 0 &&
-            mapped->eventCount != 0) {
-            stream = trace::materializeView(mapped->view());
-            mapped.reset();
-        }
-        return stream;
-    }
-
-    /** The whole stream as materialised events (tests, small
-     *  fixtures; costs a full copy). */
-    std::vector<trace::BranchEvent>
-    events() const
-    {
-        std::vector<trace::BranchEvent> out;
-        out.reserve(static_cast<std::size_t>(eventCount()));
-        trace::TraceView view = traceView();
-        trace::TraceView::Cursor cursor = view.cursor();
-        trace::TraceBlock block;
-        while (cursor.next(block))
-            for (std::size_t i = 0; i < block.count; ++i)
-                out.push_back(block.event(i));
-        return out;
-    }
+    /** The whole stream as materialised events, walked into a
+     *  BranchRecorder (tests, small fixtures; costs a full copy). */
+    std::vector<trace::BranchEvent> events() const;
 };
 
 /** The deterministic input suite of @p runs runs for @p workload. */
@@ -165,10 +135,11 @@ recordWorkload(const workloads::Workload &workload,
 /**
  * The trace-cache entry that describes @p recorded: its hash, runs,
  * stats and pc-sorted likely map, plus its stream moved out of
- * @p recorded (a mapped warm hit is decoded first). The cache stores
- * exactly this and `branchlab record -o` writes exactly this, so the
- * two produce the same bytes. A caller that still needs the stream
- * moves it back.
+ * @p recorded -- the owning SoaTrace of a cold record, or the mapping
+ * of a warm hit, whose validated bytes writeEntryFile copies
+ * verbatim. The cache stores exactly this and `branchlab record -o`
+ * writes exactly this, so the two produce the same bytes. A caller
+ * that still needs the stream moves it back.
  */
 trace::CachedWorkload takeCacheEntry(RecordedWorkload &recorded);
 
@@ -184,7 +155,9 @@ cachedToLikely(const std::vector<trace::CachedLikely> &entries);
  * over branch events plus noteRun() calls, so the rebuilt profile is
  * bit-identical to the online one -- on warm cache paths this
  * recovers everything the FS transform needs without a VM pass. The
- * runner (Table 5) and the sweep share it.
+ * sweep's prepare and point paths call it; the runner instead folds
+ * a warm hit's profile as a sink of its scheme walk. The fold runs
+ * under an `engine.profile` span.
  */
 const profile::ProgramProfile &
 resolveProfile(const RecordedWorkload &recorded,
@@ -209,45 +182,27 @@ struct ReplayResult
 void noteReplayTelemetry(std::size_t event_count,
                          std::size_t scheme_count);
 
-/** Replay a recorded stream against a predictor. This is the
- *  virtual-dispatch reference path; the kernel dispatch layer
- *  (core/replay_kernel.hh) is bound to it by differential tests. */
-ReplayResult replay(const std::vector<trace::BranchEvent> &events,
-                    predict::BranchPredictor &predictor);
+/** What a finished PredictionDriver over @p predictor measured. */
+ReplayResult driverResult(const predict::PredictionDriver &driver,
+                          const predict::BranchPredictor &predictor);
 
-/** Virtual-dispatch replay straight off a stream view (events are
- *  materialised one block at a time; no event vector is built, and a
- *  mapped view is consumed zero-copy). */
+/**
+ * Replay a stream against a predictor: replayMany(view, {&p})[0], a
+ * walk with one PredictionDriver sink. This virtual-dispatch path is
+ * the reference the kernels (core/replay_kernel.hh) are bound to by
+ * differential tests, and the route for predictors no KernelSpec
+ * describes (e.g. FlushingPredictor in `branchlab replay`).
+ */
 ReplayResult replay(const trace::TraceView &view,
                     predict::BranchPredictor &predictor);
 
-inline ReplayResult
-replay(const trace::SoaTrace &stream,
-       predict::BranchPredictor &predictor)
-{
-    return replay(trace::TraceView::of(stream), predictor);
-}
-
-/** Replay a recorded stream against several independent predictors in
- *  one pass over the event vector (the schemes never interact, so the
- *  results are identical to sequential replay() calls; the fused loop
- *  just reads the multi-megabyte stream once instead of once per
- *  scheme). Results are in predictor order. */
-std::vector<ReplayResult>
-replayMany(const std::vector<trace::BranchEvent> &events,
-           const std::vector<predict::BranchPredictor *> &predictors);
-
-/** The stream-view variant of the fused multi-predictor replay. */
+/** Replay a stream against several independent predictors in one
+ *  walk, one driver sink each (the schemes never interact, so the
+ *  results equal sequential replay() calls). Results are in predictor
+ *  order. */
 std::vector<ReplayResult>
 replayMany(const trace::TraceView &view,
            const std::vector<predict::BranchPredictor *> &predictors);
-
-inline std::vector<ReplayResult>
-replayMany(const trace::SoaTrace &stream,
-           const std::vector<predict::BranchPredictor *> &predictors)
-{
-    return replayMany(trace::TraceView::of(stream), predictors);
-}
 
 inline ReplayResult
 replay(const RecordedWorkload &recorded,

@@ -1,11 +1,7 @@
 /**
  * @file
- * BTB replay kernels: SBTB, CBTB (per counter width), and the batch
- * driver that replays one stream against many grid points per pass.
+ * BTB replay kernels: SBTB and CBTB (per counter width).
  */
-
-#include <algorithm>
-#include <memory>
 
 #include "obs/metrics.hh"
 #include "predict/replay_kernels.hh"
@@ -24,12 +20,6 @@ SbtbKernel::~SbtbKernel()
     auto &reg = obs::Registry::global();
     reg.counter("predict.sbtb.lookups").add(lookups_);
     reg.counter("predict.sbtb.hits").add(lookupHits_);
-}
-
-KernelReplayResult
-SbtbKernel::run(const trace::TraceView &view)
-{
-    return runKernelOverView(*this, view);
 }
 
 KernelReplayResult
@@ -66,14 +56,6 @@ CbtbKernel::~CbtbKernel()
 }
 
 KernelReplayResult
-CbtbKernel::run(const trace::TraceView &view)
-{
-    // stepBlock monomorphizes the common counter widths so the
-    // saturation ceiling is a compile-time constant per block.
-    return runKernelOverView(*this, view);
-}
-
-KernelReplayResult
 CbtbKernel::result() const
 {
     KernelReplayResult out;
@@ -83,48 +65,6 @@ CbtbKernel::result() const
     out.missRatio = lookups.complement();
     out.hasMissRatio = true;
     return out;
-}
-
-std::vector<BtbBatchCell>
-runBtbBatch(const trace::TraceView &view,
-            const std::vector<BtbBatchPoint> &points)
-{
-    // Kernels are non-movable (their destructors fold telemetry), so
-    // hold them by pointer. Allocation cost is per batch, not per
-    // event.
-    std::vector<std::unique_ptr<SbtbKernel>> sbtbs;
-    std::vector<std::unique_ptr<CbtbKernel>> cbtbs;
-    sbtbs.reserve(points.size());
-    cbtbs.reserve(points.size());
-    for (const BtbBatchPoint &point : points) {
-        sbtbs.push_back(std::make_unique<SbtbKernel>(point.btb));
-        cbtbs.push_back(
-            std::make_unique<CbtbKernel>(point.btb, point.counter));
-    }
-
-    // Strip-mined, events outer: decode one L1-resident block of the
-    // stream, then advance every point's predictor state over it in a
-    // tight per-kernel loop. Each kernel still sees the events in
-    // stream order, so the cells match a point-at-a-time replay
-    // bit-for-bit.
-    const std::size_t num_points = points.size();
-    std::vector<KernelEvent> events(kKernelBlockEvents);
-    trace::TraceView::Cursor cursor = view.cursor();
-    trace::TraceBlock block;
-    while (cursor.next(block)) {
-        fillKernelBlock(block, events.data());
-        for (std::size_t p = 0; p < num_points; ++p) {
-            sbtbs[p]->stepBlock(events.data(), block.count);
-            cbtbs[p]->stepBlock(events.data(), block.count);
-        }
-    }
-
-    std::vector<BtbBatchCell> cells(points.size());
-    for (std::size_t p = 0; p < num_points; ++p) {
-        cells[p].sbtb = sbtbs[p]->result();
-        cells[p].cbtb = cbtbs[p]->result();
-    }
-    return cells;
 }
 
 } // namespace branchlab::predict

@@ -20,12 +20,6 @@ GshareKernel::GshareKernel(const GshareConfig &config)
 }
 
 KernelReplayResult
-GshareKernel::run(const trace::TraceView &view)
-{
-    return runKernelOverView(*this, view);
-}
-
-KernelReplayResult
 GshareKernel::result() const
 {
     KernelReplayResult out;

@@ -4,8 +4,6 @@
  * Forward Semantic (profile) scheme.
  */
 
-#include <algorithm>
-
 #include "predict/replay_kernels.hh"
 
 namespace branchlab::predict
@@ -19,13 +17,6 @@ StaticKernel::StaticKernel(StaticKind kind) : kind_(kind)
     bias_[static_cast<std::size_t>(ir::Opcode::Bne)] = true;
     bias_[static_cast<std::size_t>(ir::Opcode::Blt)] = true;
     bias_[static_cast<std::size_t>(ir::Opcode::Ble)] = true;
-}
-
-KernelReplayResult
-StaticKernel::run(const trace::TraceView &view)
-{
-    // stepBlock monomorphizes per kind.
-    return runKernelOverView(*this, view);
 }
 
 KernelReplayResult
@@ -57,12 +48,6 @@ FsKernel::FsKernel(const LikelyMap &map, ir::Addr max_pc)
         slot.likelyTaken = info.likelyTaken ? 1 : 0;
         slot.dominantTarget = info.dominantTarget;
     }
-}
-
-KernelReplayResult
-FsKernel::run(const trace::TraceView &view)
-{
-    return runKernelOverView(*this, view);
 }
 
 KernelReplayResult

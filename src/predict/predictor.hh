@@ -101,7 +101,12 @@ struct PredictorStats
 
 /**
  * Scores a predictor against a branch stream. Attach as the machine's
- * trace sink (or replay a BranchRecorder into it).
+ * trace sink, or as a sink of the replay walk (predict::walkStream).
+ * In replay this virtual path has one job: it is the reference the
+ * replay kernels are tested against, and the route for what has no
+ * kernel -- streams whose pcs exceed the kernels' flat tables, schemes
+ * without a kernel, and predictors no spec describes (such as the
+ * FlushingPredictor of `branchlab replay --flush-every`).
  */
 class PredictionDriver : public trace::TraceSink
 {

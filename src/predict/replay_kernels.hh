@@ -1,11 +1,21 @@
 /**
  * @file
- * Monomorphized replay kernels: one class per scheme family, each
- * replaying a recorded stream with zero virtual dispatch in the inner
- * loop. Kernels consume a trace::TraceView (trace/view.hh), so one
- * code path serves both decoded SoA streams and mmap'd cache entries
- * -- the latter zero-copy: the view's cursor hands each kernel block
- * pointers straight into the mapping's bit-plane and opcode sections.
+ * Monomorphized replay kernels and the one stream walk that drives
+ * them. walkStream() is the only loop over a recorded stream in the
+ * replay engine. Per cursor block it feeds two named consumer kinds:
+ *
+ *  - kernels (ReplayKernel): one class per scheme family, stepped a
+ *    whole materialised block at a time. The one virtual call per
+ *    block is the only dispatch; each kernel's per-event loop is
+ *    monomorphic (counter width, static kind).
+ *  - sinks (trace::TraceSink): anything that folds whole events --
+ *    the virtual-dispatch PredictionDriver, a ProgramProfile, a
+ *    BranchRecorder -- handed every block.event(i) in stream order.
+ *
+ * Streams arrive as trace::TraceView (trace/view.hh), so one walk
+ * serves both decoded SoA streams and mmap'd cache entries -- the
+ * latter zero-copy: the view's cursor hands out block pointers
+ * straight into the mapping's bit-plane and opcode sections.
  *
  * The virtual-dispatch path (PredictionDriver over BranchPredictor)
  * stays the authoritative reference; every kernel here replicates
@@ -21,9 +31,9 @@
  * The BTB-backed kernels use the flat pc-indexed tag index
  * (FlatTagIndex): the traces our programs emit live in small dense
  * address spaces, so one vector load replaces a hash lookup. The
- * kernel registry (core/replay_kernel.hh) only selects a kernel when
- * the trace's maxPc is below kMaxKernelPc, keeping the flat tables
- * bounded; everything else falls back to the virtual path.
+ * engine (core/replay_kernel.hh) only builds such a kernel when the
+ * trace's maxPc is below kMaxKernelPc, keeping the flat tables
+ * bounded; everything else is walked by a PredictionDriver sink.
  *
  * Each kernel accumulates stats in plain integers (KernelStats) and
  * folds them into PredictorStats at the end -- the per-event path
@@ -42,7 +52,6 @@
 #include "predict/gshare.hh"
 #include "predict/predictor.hh"
 #include "predict/profile_predictor.hh"
-#include "trace/soa.hh"
 #include "trace/view.hh"
 
 namespace branchlab::predict
@@ -83,74 +92,6 @@ struct KernelEvent
     bool conditional = false;
     bool taken = false;
 };
-
-/** Materialise the kernel view of event @p i. */
-inline KernelEvent
-kernelEventAt(const trace::SoaTrace &stream, std::size_t i)
-{
-    KernelEvent e;
-    e.pc = stream.pc()[i];
-    e.nextPc = stream.nextPc()[i];
-    e.targetAddr = stream.targetAddr()[i];
-    e.op = stream.opcode(i);
-    e.conditional = stream.conditional(i);
-    e.taken = stream.taken(i);
-    // makeQuery(): only conditionals, direct jumps, and direct calls
-    // carry a statically encoded target.
-    const bool has_static = e.conditional ||
-                            e.op == ir::Opcode::Jmp ||
-                            e.op == ir::Opcode::Call;
-    e.staticTarget = has_static ? e.targetAddr : ir::kNoAddr;
-    return e;
-}
-
-/** Materialise the kernel view of block element @p i. */
-inline KernelEvent
-kernelEventFrom(const trace::TraceBlock &block, std::size_t i)
-{
-    KernelEvent e;
-    e.pc = block.pc[i];
-    e.nextPc = block.nextPc[i];
-    e.targetAddr = block.targetAddr[i];
-    e.op = block.opcode(i);
-    e.conditional = block.conditional(i);
-    e.taken = block.taken(i);
-    const bool has_static = e.conditional ||
-                            e.op == ir::Opcode::Jmp ||
-                            e.op == ir::Opcode::Call;
-    e.staticTarget = has_static ? e.targetAddr : ir::kNoAddr;
-    return e;
-}
-
-/**
- * Strip-mine width for the fused multi-kernel replays: events are
- * materialised into a block this long, then each kernel runs a tight
- * loop over the block while it is still L1-resident, so N kernels
- * share one pass of column decoding instead of paying it N times.
- * 512 events x ~40 bytes keeps the block around 20 KiB.
- */
-inline constexpr std::size_t kKernelBlockEvents = 512;
-
-// Kernel strip-mining and the view cursor share one block width, so a
-// cursor block maps 1:1 onto a kernel block.
-static_assert(kKernelBlockEvents == trace::kTraceBlockEvents);
-
-/** Materialise events [base, base+count) of @p stream into @p block. */
-inline void
-fillKernelBlock(const trace::SoaTrace &stream, std::size_t base,
-                std::size_t count, KernelEvent *block)
-{
-    for (std::size_t i = 0; i < count; ++i)
-        block[i] = kernelEventAt(stream, base + i);
-}
-
-/** Materialise a cursor block into kernel events. */
-inline void
-fillKernelBlock(const trace::TraceBlock &block, KernelEvent *events)
-{
-    for (std::size_t i = 0; i < block.count; ++i)
-        events[i] = kernelEventFrom(block, i);
-}
 
 /** PredictionDriver::isCorrect over the kernel view. */
 inline bool
@@ -197,47 +138,70 @@ struct KernelStats
 };
 
 /**
- * The shared single-kernel replay loop: walk @p view block-by-block
- * (zero-copy when the view is mapped), materialise each block into
- * kernel events while it is L1-resident, and fold it through
- * @p kernel's stepBlock -- which every kernel monomorphizes
- * internally (counter width, static kind). Every kernel's
- * run(TraceView) delegates here.
+ * The kernel consumer kind of walkStream: a scheme's predictor state
+ * stepped one materialised block at a time, then read out once.
  */
-template <typename Kernel>
-KernelReplayResult
-runKernelOverView(Kernel &kernel, const trace::TraceView &view)
+class ReplayKernel
 {
-    std::array<KernelEvent, kKernelBlockEvents> events;
-    trace::TraceView::Cursor cursor = view.cursor();
-    trace::TraceBlock block;
-    while (cursor.next(block)) {
-        fillKernelBlock(block, events.data());
-        kernel.stepBlock(events.data(), block.count);
-    }
-    return kernel.result();
-}
+  public:
+    ReplayKernel() = default;
+    virtual ~ReplayKernel() = default;
+
+    // Kernels fold telemetry on destruction, so they never copy.
+    ReplayKernel(const ReplayKernel &) = delete;
+    ReplayKernel &operator=(const ReplayKernel &) = delete;
+
+    /** Step @p count events, in stream order. */
+    virtual void stepBlock(const KernelEvent *events,
+                           std::size_t count) = 0;
+
+    /** The measurements over every event stepped so far. */
+    virtual KernelReplayResult result() const = 0;
+};
+
+/**
+ * Walk @p view once, block by block (zero-copy when the view is
+ * mapped). Per block: materialise the kernel events once (only when
+ * there are kernels), step every kernel over them, then hand every
+ * sink each event. Consumers are independent, so each sees exactly
+ * the stream in order, as if it had walked it alone.
+ */
+void walkStream(const trace::TraceView &view,
+                const std::vector<ReplayKernel *> &kernels,
+                const std::vector<trace::TraceSink *> &sinks);
 
 /** The SBTB (SimpleBtb) as a monomorphized kernel. */
-class SbtbKernel
+class SbtbKernel final : public ReplayKernel
 {
   public:
     explicit SbtbKernel(const BufferConfig &config);
     /** Folds predict.sbtb.lookups/.hits, like ~SimpleBtb(). */
-    ~SbtbKernel();
+    ~SbtbKernel() override;
 
-    SbtbKernel(const SbtbKernel &) = delete;
-    SbtbKernel &operator=(const SbtbKernel &) = delete;
-
-    /** Replay the full stream through this kernel's state. */
-    KernelReplayResult run(const trace::TraceView &view);
-    KernelReplayResult
-    run(const trace::SoaTrace &stream)
+    void
+    stepBlock(const KernelEvent *events, std::size_t count) override
     {
-        return run(trace::TraceView::of(stream));
+        for (std::size_t i = 0; i < count; ++i)
+            step(events[i]);
     }
 
-    /** One event; the batch driver interleaves many kernels. */
+    KernelReplayResult result() const override;
+
+    ir::Addr
+    targetOf(ir::Addr pc) const
+    {
+        const Entry *entry = buffer_.peek(pc);
+        return entry == nullptr ? ir::kNoAddr : entry->target;
+    }
+
+    std::size_t occupancy() const { return buffer_.occupancy(); }
+
+  private:
+    struct Entry
+    {
+        ir::Addr target = ir::kNoAddr;
+    };
+
     void
     step(const KernelEvent &e)
     {
@@ -267,62 +231,24 @@ class SbtbKernel
         }
     }
 
-    /** Step a whole block of materialised events. */
-    void
-    stepBlock(const KernelEvent *events, std::size_t count)
-    {
-        for (std::size_t i = 0; i < count; ++i)
-            step(events[i]);
-    }
-
-    KernelReplayResult result() const;
-
-    ir::Addr
-    targetOf(ir::Addr pc) const
-    {
-        const Entry *entry = buffer_.peek(pc);
-        return entry == nullptr ? ir::kNoAddr : entry->target;
-    }
-
-    std::size_t occupancy() const { return buffer_.occupancy(); }
-
-  private:
-    struct Entry
-    {
-        ir::Addr target = ir::kNoAddr;
-    };
-
     AssociativeBuffer<Entry, FlatTagIndex> buffer_;
     KernelStats acc_;
     std::uint64_t lookups_ = 0;
     std::uint64_t lookupHits_ = 0;
 };
 
-/** The CBTB (CounterBtb) as a monomorphized kernel. run() further
+/** The CBTB (CounterBtb) as a monomorphized kernel. stepBlock
  *  specialises the inner loop per counter width (1..4 bits). */
-class CbtbKernel
+class CbtbKernel final : public ReplayKernel
 {
   public:
     CbtbKernel(const BufferConfig &buffer,
                const CounterConfig &counter);
     /** Folds predict.cbtb.lookups/.hits, like ~CounterBtb(). */
-    ~CbtbKernel();
+    ~CbtbKernel() override;
 
-    CbtbKernel(const CbtbKernel &) = delete;
-    CbtbKernel &operator=(const CbtbKernel &) = delete;
-
-    KernelReplayResult run(const trace::TraceView &view);
-    KernelReplayResult
-    run(const trace::SoaTrace &stream)
-    {
-        return run(trace::TraceView::of(stream));
-    }
-
-    void step(const KernelEvent &e) { stepImpl<0>(e); }
-
-    /** Step a block, monomorphized per counter width like run(). */
     void
-    stepBlock(const KernelEvent *events, std::size_t count)
+    stepBlock(const KernelEvent *events, std::size_t count) override
     {
         switch (maxCount_) {
           case 1:
@@ -343,7 +269,7 @@ class CbtbKernel
         }
     }
 
-    KernelReplayResult result() const;
+    KernelReplayResult result() const override;
 
     ir::Addr
     targetOf(ir::Addr pc) const
@@ -435,42 +361,15 @@ enum class StaticKind
 };
 
 /** The four static predictors as one kernel, monomorphized per kind
- *  inside run(). Only the default OpcodeBias table is supported --
+ *  inside stepBlock. Only the default OpcodeBias table is supported --
  *  custom bias maps take the virtual fallback. */
-class StaticKernel
+class StaticKernel final : public ReplayKernel
 {
   public:
     explicit StaticKernel(StaticKind kind);
 
-    KernelReplayResult run(const trace::TraceView &view);
-    KernelReplayResult
-    run(const trace::SoaTrace &stream)
-    {
-        return run(trace::TraceView::of(stream));
-    }
-
     void
-    step(const KernelEvent &e)
-    {
-        switch (kind_) {
-          case StaticKind::AlwaysTaken:
-            stepImpl<StaticKind::AlwaysTaken>(e);
-            break;
-          case StaticKind::AlwaysNotTaken:
-            stepImpl<StaticKind::AlwaysNotTaken>(e);
-            break;
-          case StaticKind::BackwardTaken:
-            stepImpl<StaticKind::BackwardTaken>(e);
-            break;
-          case StaticKind::OpcodeBias:
-            stepImpl<StaticKind::OpcodeBias>(e);
-            break;
-        }
-    }
-
-    /** Step a block, monomorphized per kind like run(). */
-    void
-    stepBlock(const KernelEvent *events, std::size_t count)
+    stepBlock(const KernelEvent *events, std::size_t count) override
     {
         switch (kind_) {
           case StaticKind::AlwaysTaken:
@@ -488,7 +387,7 @@ class StaticKernel
         }
     }
 
-    KernelReplayResult result() const;
+    KernelReplayResult result() const override;
 
   private:
     template <StaticKind Kind>
@@ -541,18 +440,29 @@ class StaticKernel
 
 /** The Forward Semantic scheme (ProfilePredictor) over flat
  *  pc-indexed likely/dominant tables. */
-class FsKernel
+class FsKernel final : public ReplayKernel
 {
   public:
     /** @p max_pc bounds the flat tables (the stream's maxPc). */
     FsKernel(const LikelyMap &map, ir::Addr max_pc);
 
-    KernelReplayResult run(const trace::TraceView &view);
-    KernelReplayResult
-    run(const trace::SoaTrace &stream)
+    void
+    stepBlock(const KernelEvent *events, std::size_t count) override
     {
-        return run(trace::TraceView::of(stream));
+        for (std::size_t i = 0; i < count; ++i)
+            step(events[i]);
     }
+
+    KernelReplayResult result() const override;
+
+  private:
+    /** One profiled branch, packed so a prediction is one load. */
+    struct Slot
+    {
+        std::uint8_t present = 0;
+        std::uint8_t likelyTaken = 0;
+        ir::Addr dominantTarget = ir::kNoAddr;
+    };
 
     void
     step(const KernelEvent &e)
@@ -579,44 +489,39 @@ class FsKernel
                     kernelCorrect(predicted_taken, target, e));
     }
 
-    /** Step a whole block of materialised events. */
-    void
-    stepBlock(const KernelEvent *events, std::size_t count)
-    {
-        for (std::size_t i = 0; i < count; ++i)
-            step(events[i]);
-    }
-
-    KernelReplayResult result() const;
-
-  private:
-    /** One profiled branch, packed so a prediction is one load. */
-    struct Slot
-    {
-        std::uint8_t present = 0;
-        std::uint8_t likelyTaken = 0;
-        ir::Addr dominantTarget = ir::kNoAddr;
-    };
-
     std::vector<Slot> table_;
     KernelStats acc_;
 };
 
 /** gshare (GsharePredictor) as a monomorphized kernel. */
-class GshareKernel
+class GshareKernel final : public ReplayKernel
 {
   public:
     explicit GshareKernel(const GshareConfig &config);
 
-    GshareKernel(const GshareKernel &) = delete;
-    GshareKernel &operator=(const GshareKernel &) = delete;
-
-    KernelReplayResult run(const trace::TraceView &view);
-    KernelReplayResult
-    run(const trace::SoaTrace &stream)
+    void
+    stepBlock(const KernelEvent *events, std::size_t count) override
     {
-        return run(trace::TraceView::of(stream));
+        for (std::size_t i = 0; i < count; ++i)
+            step(events[i]);
     }
+
+    KernelReplayResult result() const override;
+
+    unsigned
+    counterAt(ir::Addr pc) const
+    {
+        return counters_[static_cast<std::size_t>((history_ ^ pc) &
+                                                  mask_)];
+    }
+
+    std::uint64_t history() const { return history_; }
+
+  private:
+    struct TargetEntry
+    {
+        ir::Addr target = ir::kNoAddr;
+    };
 
     void
     step(const KernelEvent &e)
@@ -666,31 +571,6 @@ class GshareKernel
         }
     }
 
-    /** Step a whole block of materialised events. */
-    void
-    stepBlock(const KernelEvent *events, std::size_t count)
-    {
-        for (std::size_t i = 0; i < count; ++i)
-            step(events[i]);
-    }
-
-    KernelReplayResult result() const;
-
-    unsigned
-    counterAt(ir::Addr pc) const
-    {
-        return counters_[static_cast<std::size_t>((history_ ^ pc) &
-                                                  mask_)];
-    }
-
-    std::uint64_t history() const { return history_; }
-
-  private:
-    struct TargetEntry
-    {
-        ir::Addr target = ir::kNoAddr;
-    };
-
     std::size_t
     indexFor(ir::Addr pc) const
     {
@@ -705,7 +585,8 @@ class GshareKernel
     KernelStats acc_;
 };
 
-/** One sweep grid point for the batch BTB replay. */
+/** One sweep grid point for the batch BTB replay
+ *  (core::replayBatch). */
 struct BtbBatchPoint
 {
     BufferConfig btb;
@@ -718,23 +599,6 @@ struct BtbBatchCell
     KernelReplayResult sbtb;
     KernelReplayResult cbtb;
 };
-
-/**
- * Replay one recorded stream against every grid point in a single
- * trace walk: events in the outer loop, per-point predictor state in
- * the inner loop, so N points cost one trace traversal instead of N.
- * Each point's result is bit-identical to replaying it alone.
- */
-std::vector<BtbBatchCell>
-runBtbBatch(const trace::TraceView &view,
-            const std::vector<BtbBatchPoint> &points);
-
-inline std::vector<BtbBatchCell>
-runBtbBatch(const trace::SoaTrace &stream,
-            const std::vector<BtbBatchPoint> &points)
-{
-    return runBtbBatch(trace::TraceView::of(stream), points);
-}
 
 } // namespace branchlab::predict
 

@@ -1,9 +1,11 @@
 #include "trace/cache.hh"
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 
 #include "obs/metrics.hh"
@@ -114,9 +116,20 @@ bool
 writeEntryFile(const std::string &path, const CachedWorkload &workload,
                std::string &error)
 {
-    blab_assert(!workload.mapped,
-                "writeEntryFile expects an owning stream, not a mapped "
-                "hit");
+    if (workload.mapped) {
+        // A mapped entry was fully validated when it was mapped: its
+        // bytes are the entry, so copy them rather than re-encode.
+        const MappedFile &file = *workload.mapped->file;
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(reinterpret_cast<const char *>(file.data()),
+                  static_cast<std::streamsize>(file.size()));
+        out.flush();
+        if (!out) {
+            error = "entry write failed";
+            return false;
+        }
+        return true;
+    }
     EntryWriter writer(path);
     if (!writer.ok()) {
         error = "cannot open for writing";
@@ -201,6 +214,22 @@ mapEntryFile(const std::string &path,
         error = os.str();
         return false;
     }
+    // Every section must lie inside the file. A file cut short shows
+    // first as sections running past its end: name that before the
+    // plausibility checks below can trip on it.
+    std::uint64_t needed = 0;
+    for (const SectionRecord &section : header.sections) {
+        const std::uint64_t end =
+            section.length > UINT64_MAX - section.offset
+                ? UINT64_MAX
+                : section.offset + section.length;
+        needed = std::max(needed, end);
+    }
+    if (needed > size) {
+        error = "truncated entry (file " + std::to_string(size) +
+                " bytes, sections need " + std::to_string(needed) + ")";
+        return false;
+    }
     if (header.eventCount > size) {
         error = "implausible event count";
         return false;
@@ -226,13 +255,6 @@ mapEntryFile(const std::string &path,
         if (section.offset % kSectionAlign != 0) {
             error = std::string("misaligned section ") +
                     sectionName(s);
-            return false;
-        }
-        if (section.offset > size ||
-            section.length > size - section.offset) {
-            error =
-                std::string("section ") + sectionName(s) +
-                " out of bounds";
             return false;
         }
         if (s < static_cast<std::size_t>(EntrySection::Deltas) &&

@@ -221,11 +221,12 @@ bool mapEntryFile(const std::string &path,
                   MapFailure &failure);
 
 /**
- * Write @p workload (its owning `stream`; never a mapped hit) as one
- * entry file at @p path. The trace cache calls it on a temp file it
- * then publishes durably; `branchlab record -o` calls it on the
- * user's path. Does not fsync or rename. @return false with a
- * diagnostic in @p error on any write failure.
+ * Write @p workload as one entry file at @p path: an owning `stream`
+ * is encoded; a `mapped` hit, validated when it was mapped, is copied
+ * verbatim. The trace cache calls it on a temp file it then publishes
+ * durably; `branchlab record -o` calls it on the user's path. Does not
+ * fsync or rename. @return false with a diagnostic in @p error on any
+ * write failure.
  */
 bool writeEntryFile(const std::string &path,
                     const CachedWorkload &workload, std::string &error);

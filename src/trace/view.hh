@@ -44,7 +44,7 @@ namespace branchlab::trace
 
 /** Events per cursor block. Multiple of 8 (bit-plane byte
  *  alignment); sized so a block of materialised kernel events stays
- *  L1-resident (predict/replay_kernels.hh strip-mines at the same
+ *  L1-resident (predict::walkStream strip-mines at the same
  *  width). */
 inline constexpr std::size_t kTraceBlockEvents = 512;
 

@@ -1,12 +1,14 @@
 /**
  * @file
- * Differential tests binding the specialized replay kernels to the
- * virtual-dispatch reference: every kernel the registry can select
- * must produce results bit-identical to replaying the same stream
- * through the predictor makePredictor() builds, across all ten paper
- * workloads, a sweep-style config grid, and the batch entry point.
- * Internal predictor state (BTB targets, counters, gshare history) is
- * held identical too, not just the summary ratios.
+ * Tests of the one stream walk and its two consumer kinds. Kernels:
+ * every kernel the walk can be given must produce results
+ * bit-identical to a PredictionDriver sink over the predictor
+ * makePredictor() builds, across all ten paper workloads, a
+ * sweep-style config grid, and the batch entry point; internal
+ * predictor state (BTB targets, counters, gshare history) is held
+ * identical too, not just the summary ratios. Sinks: a walk mixing
+ * kernels, driver sinks and a caller's sink hands each every event
+ * once, in order, with results in spec order.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +22,7 @@
 #include "predict/cbtb.hh"
 #include "predict/gshare.hh"
 #include "predict/sbtb.hh"
+#include "trace/record.hh"
 
 namespace branchlab::core
 {
@@ -83,11 +86,11 @@ expectSameResult(const ReplayResult &kernel,
 /** Replay through the virtual-dispatch predictor the spec describes
  *  (the reference half of every differential check). */
 ReplayResult
-referenceReplay(const trace::SoaTrace &stream, const KernelSpec &spec)
+referenceReplay(const trace::TraceView &view, const KernelSpec &spec)
 {
     const std::unique_ptr<predict::BranchPredictor> predictor =
         makePredictor(spec);
-    return replay(stream, *predictor);
+    return replay(view, *predictor);
 }
 
 /** The full scheme roster the engine replays (paper + gshare). */
@@ -147,8 +150,8 @@ TEST(ReplayKernel, MatchesVirtualDispatchOnEveryWorkload)
         ASSERT_LT(recorded.stream.maxPc(), predict::kMaxKernelPc);
         for (const auto &[name, spec] : paperSpecs(recorded, config)) {
             SCOPED_TRACE(name);
-            expectSameResult(replayKernel(recorded.stream, spec),
-                             referenceReplay(recorded.stream, spec));
+            expectSameResult(replayKernel(recorded.traceView(), spec),
+                             referenceReplay(recorded.traceView(), spec));
         }
     }
     // Every one of those replays took a specialized kernel.
@@ -165,12 +168,12 @@ TEST(ReplayKernel, ReplayManyMatchesIndividualReplays)
         specs.push_back(spec);
 
     const std::vector<ReplayResult> many =
-        replayManyKernel(recorded.stream, specs);
+        replayManyKernel(recorded.traceView(), specs);
     ASSERT_EQ(many.size(), specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
         SCOPED_TRACE(named[i].first);
         expectSameResult(many[i],
-                         replayKernel(recorded.stream, specs[i]));
+                         replayKernel(recorded.traceView(), specs[i]));
     }
 }
 
@@ -208,8 +211,8 @@ TEST(ReplayKernel, ConfigGridMatchesVirtualDispatch)
         KernelSpec spec;
         spec.kind = SchemeKind::Sbtb;
         spec.btb = buffers[b];
-        expectSameResult(replayKernel(recorded.stream, spec),
-                         referenceReplay(recorded.stream, spec));
+        expectSameResult(replayKernel(recorded.traceView(), spec),
+                         referenceReplay(recorded.traceView(), spec));
 
         // Every counter width the CBTB kernel monomorphizes, plus a
         // non-default threshold per width.
@@ -220,8 +223,8 @@ TEST(ReplayKernel, ConfigGridMatchesVirtualDispatch)
                 SCOPED_TRACE("bits " + std::to_string(bits) +
                              " threshold " + std::to_string(threshold));
                 spec.counter = {bits, threshold};
-                expectSameResult(replayKernel(recorded.stream, spec),
-                                 referenceReplay(recorded.stream,
+                expectSameResult(replayKernel(recorded.traceView(), spec),
+                                 referenceReplay(recorded.traceView(),
                                                  spec));
             }
         }
@@ -233,8 +236,8 @@ TEST(ReplayKernel, ConfigGridMatchesVirtualDispatch)
         KernelSpec wide;
         wide.kind = SchemeKind::Cbtb;
         wide.counter = {6, 17};
-        expectSameResult(replayKernel(recorded.stream, wide),
-                         referenceReplay(recorded.stream, wide));
+        expectSameResult(replayKernel(recorded.traceView(), wide),
+                         referenceReplay(recorded.traceView(), wide));
     }
 
     // Gshare across history widths and target-buffer geometries.
@@ -246,8 +249,8 @@ TEST(ReplayKernel, ConfigGridMatchesVirtualDispatch)
             spec.kind = SchemeKind::Gshare;
             spec.gshare.historyBits = history_bits;
             spec.gshare.targets.entries = entries;
-            expectSameResult(replayKernel(recorded.stream, spec),
-                             referenceReplay(recorded.stream, spec));
+            expectSameResult(replayKernel(recorded.traceView(), spec),
+                             referenceReplay(recorded.traceView(), spec));
         }
     }
 }
@@ -258,9 +261,9 @@ TEST(ReplayKernel, SbtbKernelTableMatchesSimpleBtb)
     const predict::BufferConfig geometry; // paper config
 
     predict::SbtbKernel kernel(geometry);
-    kernel.run(recorded.stream);
+    predict::walkStream(recorded.traceView(), {&kernel}, {});
     predict::SimpleBtb reference(geometry);
-    replay(recorded.stream, reference);
+    replay(recorded.traceView(), reference);
 
     EXPECT_EQ(kernel.occupancy(), reference.occupancy());
     for (const ir::Addr pc : distinctPcs(recorded.stream))
@@ -275,9 +278,9 @@ TEST(ReplayKernel, CbtbKernelTableMatchesCounterBtb)
     const predict::CounterConfig counter{2, 2};
 
     predict::CbtbKernel kernel(geometry, counter);
-    kernel.run(recorded.stream);
+    predict::walkStream(recorded.traceView(), {&kernel}, {});
     predict::CounterBtb reference(geometry, counter);
-    replay(recorded.stream, reference);
+    replay(recorded.traceView(), reference);
 
     EXPECT_EQ(kernel.occupancy(), reference.occupancy());
     for (const ir::Addr pc : distinctPcs(recorded.stream)) {
@@ -294,9 +297,9 @@ TEST(ReplayKernel, GshareKernelStateMatchesGsharePredictor)
     const predict::GshareConfig config;
 
     predict::GshareKernel kernel(config);
-    kernel.run(recorded.stream);
+    predict::walkStream(recorded.traceView(), {&kernel}, {});
     predict::GsharePredictor reference(config);
-    replay(recorded.stream, reference);
+    replay(recorded.traceView(), reference);
 
     EXPECT_EQ(kernel.history(), reference.history());
     for (const ir::Addr pc : distinctPcs(recorded.stream))
@@ -336,7 +339,7 @@ TEST(ReplayKernel, BatchReplayMatchesStandaloneReplays)
     }
 
     const std::vector<predict::BtbBatchCell> cells =
-        replayBatch(recorded.stream, points);
+        replayBatch(recorded.traceView(), points);
     ASSERT_EQ(cells.size(), points.size());
     EXPECT_EQ(batch_counter.value(), batch_before + 1);
 
@@ -346,7 +349,7 @@ TEST(ReplayKernel, BatchReplayMatchesStandaloneReplays)
         spec.kind = SchemeKind::Sbtb;
         spec.btb = points[p].btb;
         const ReplayResult sbtb =
-            referenceReplay(recorded.stream, spec);
+            referenceReplay(recorded.traceView(), spec);
         EXPECT_TRUE(cells[p].sbtb.hasMissRatio);
         EXPECT_EQ(cells[p].sbtb.missRatio, sbtb.missRatio);
         expectSameStats(cells[p].sbtb.stats, sbtb.stats);
@@ -354,7 +357,7 @@ TEST(ReplayKernel, BatchReplayMatchesStandaloneReplays)
         spec.kind = SchemeKind::Cbtb;
         spec.counter = points[p].counter;
         const ReplayResult cbtb =
-            referenceReplay(recorded.stream, spec);
+            referenceReplay(recorded.traceView(), spec);
         EXPECT_TRUE(cells[p].cbtb.hasMissRatio);
         EXPECT_EQ(cells[p].cbtb.missRatio, cbtb.missRatio);
         expectSameStats(cells[p].cbtb.stats, cbtb.stats);
@@ -387,7 +390,8 @@ tallPcStream()
 TEST(ReplayKernel, TallPcStreamFallsBackAndStillMatches)
 {
     const trace::SoaTrace stream = tallPcStream();
-    ASSERT_GE(stream.maxPc(), predict::kMaxKernelPc);
+    const trace::TraceView view = trace::TraceView::of(stream);
+    ASSERT_GE(view.maxPc(), predict::kMaxKernelPc);
 
     const obs::Counter &fallback = obs::Registry::global().counter(
         "engine.replay.kernel.fallback");
@@ -398,30 +402,31 @@ TEST(ReplayKernel, TallPcStreamFallsBackAndStillMatches)
     const std::uint64_t specialized_before = specialized.value();
 
     KernelSpec spec; // SBTB at the paper config
-    const ReplayResult via_dispatch = replayKernel(stream, spec);
+    const ReplayResult via_dispatch = replayKernel(view, spec);
     EXPECT_EQ(fallback.value(), fallback_before + 1);
     EXPECT_EQ(specialized.value(), specialized_before);
 
     // The fallback path is the reference path; results are identical.
-    expectSameResult(via_dispatch, referenceReplay(stream, spec));
+    expectSameResult(via_dispatch, referenceReplay(view, spec));
 
     // Static kernels need no pc-indexed table, so they still
     // specialize on the same stream.
     KernelSpec taken;
     taken.kind = SchemeKind::AlwaysTaken;
-    expectSameResult(replayKernel(stream, taken),
-                     referenceReplay(stream, taken));
+    expectSameResult(replayKernel(view, taken),
+                     referenceReplay(view, taken));
     EXPECT_EQ(specialized.value(), specialized_before + 1);
     EXPECT_EQ(fallback.value(), fallback_before + 1);
 }
 
 TEST(ReplayKernel, MixedEligibilityBatchSplitsFusedAndFallback)
 {
-    // On a tall-pc stream the fused walk takes the statics while the
-    // pc-indexed schemes drop to the virtual fallback -- all within
-    // one replayManyKernel call, with results in spec order.
+    // On a tall-pc stream the one walk takes the statics as kernels
+    // while the pc-indexed schemes ride it as driver sinks -- all
+    // within one replayManyKernel call, with results in spec order.
     const trace::SoaTrace stream = tallPcStream();
-    ASSERT_GE(stream.maxPc(), predict::kMaxKernelPc);
+    const trace::TraceView view = trace::TraceView::of(stream);
+    ASSERT_GE(view.maxPc(), predict::kMaxKernelPc);
 
     const obs::Counter &fallback = obs::Registry::global().counter(
         "engine.replay.kernel.fallback");
@@ -439,13 +444,63 @@ TEST(ReplayKernel, MixedEligibilityBatchSplitsFusedAndFallback)
     const std::vector<KernelSpec> specs{sbtb, taken, btfnt};
 
     const std::vector<ReplayResult> results =
-        replayManyKernel(stream, specs);
+        replayManyKernel(view, specs);
     ASSERT_EQ(results.size(), specs.size());
     EXPECT_EQ(specialized.value(), specialized_before + 2);
     EXPECT_EQ(fallback.value(), fallback_before + 1);
     for (std::size_t i = 0; i < specs.size(); ++i)
         expectSameResult(results[i],
-                         referenceReplay(stream, specs[i]));
+                         referenceReplay(view, specs[i]));
+}
+
+TEST(ReplayKernel, OneWalkFeedsKernelsFallbacksAndSinks)
+{
+    // One replayManyKernel call on a tall-pc stream: a spec with a
+    // kernel, a spec without one (its driver rides the walk as a
+    // sink) and a caller sink share the single walk. Every consumer
+    // sees every event once, in stream order; results stay in spec
+    // order.
+    const trace::SoaTrace stream = tallPcStream();
+    const trace::TraceView view = trace::TraceView::of(stream);
+    ASSERT_GE(view.maxPc(), predict::kMaxKernelPc);
+
+    const obs::Counter &fallback = obs::Registry::global().counter(
+        "engine.replay.kernel.fallback");
+    const obs::Counter &specialized =
+        obs::Registry::global().counter(
+            "engine.replay.kernel.specialized");
+    const std::uint64_t fallback_before = fallback.value();
+    const std::uint64_t specialized_before = specialized.value();
+
+    KernelSpec cbtb; // pc-indexed: no kernel on this stream
+    cbtb.kind = SchemeKind::Cbtb;
+    KernelSpec btfnt; // stateless: always a kernel
+    btfnt.kind = SchemeKind::BackwardTaken;
+    const std::vector<KernelSpec> specs{cbtb, btfnt};
+    trace::BranchRecorder recorder;
+
+    const std::vector<ReplayResult> results =
+        replayManyKernel(view, specs, {&recorder});
+    EXPECT_EQ(specialized.value(), specialized_before + 1);
+    EXPECT_EQ(fallback.value(), fallback_before + 1);
+
+    ASSERT_EQ(recorder.size(), stream.size());
+    for (std::size_t i = 0; i < stream.size(); ++i) {
+        const trace::BranchEvent want = stream.event(i);
+        const trace::BranchEvent &got = recorder.events()[i];
+        EXPECT_EQ(got.pc, want.pc) << "event " << i;
+        EXPECT_EQ(got.nextPc, want.nextPc) << "event " << i;
+        EXPECT_EQ(got.taken, want.taken) << "event " << i;
+    }
+    ASSERT_EQ(results.size(), specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        EXPECT_EQ(results[i].stats.accuracy.total(), stream.size());
+        expectSameResult(results[i], referenceReplay(view, specs[i]));
+    }
+    // The CBTB tracks a miss ratio and the static scheme does not, so
+    // a swapped pair of results cannot pass.
+    EXPECT_TRUE(results[0].hasMissRatio);
+    EXPECT_FALSE(results[1].hasMissRatio);
 }
 
 TEST(ReplayKernel, SpecializedCounterCountsEligibleReplays)
@@ -460,7 +515,7 @@ TEST(ReplayKernel, SpecializedCounterCountsEligibleReplays)
     KernelSpec spec;
     spec.kind = SchemeKind::Sbtb;
     spec.btb = config.btb;
-    replayKernel(recorded.stream, spec);
+    replayKernel(recorded.traceView(), spec);
     EXPECT_EQ(specialized.value(), before + 1);
 }
 

@@ -474,17 +474,57 @@ TEST(TraceCache, EveryHeaderBitFlipIsRefused)
 
 TEST(TraceCache, WriteEntryFileWritesTheStoredEntry)
 {
-    // The file `branchlab record -o` exports is the cache's entry.
+    // The file `branchlab record -o` exports is the cache's entry,
+    // whether it comes from an owning stream (cold) or is copied from
+    // the mapped hit (warm).
     const std::string dir = makeCacheDir("export");
     const TraceCache cache(dir);
     const CachedWorkload stored = makeWorkload();
     cache.store("fact", stored);
-    const std::string exported = dir + "/exported.bltc";
-    std::string error;
-    ASSERT_TRUE(writeEntryFile(exported, stored, error)) << error;
-    EXPECT_EQ(test::readFileBytes(exported),
-              test::readFileBytes(
-                  cache.entryPath("fact", stored.contentHash)));
+    const std::string entry = test::readFileBytes(
+        cache.entryPath("fact", stored.contentHash));
+    CachedWorkload mapped;
+    ASSERT_TRUE(cache.load("fact", stored.contentHash, mapped));
+    ASSERT_NE(mapped.mapped, nullptr);
+    const CachedWorkload *const inputs[] = {&stored, &mapped};
+    for (const CachedWorkload *input : inputs) {
+        SCOPED_TRACE(input->mapped ? "mapped" : "owning");
+        const std::string exported = dir + "/exported.bltc";
+        std::string error;
+        ASSERT_TRUE(writeEntryFile(exported, *input, error)) << error;
+        EXPECT_EQ(test::readFileBytes(exported), entry);
+    }
+    std::filesystem::remove_all(dir);
+}
+
+TEST(TraceCache, TruncatedFileIsNamedTruncated)
+{
+    // A valid entry cut anywhere past its header is refused as
+    // Corrupt, and the diagnostic says why.
+    const std::string dir = makeCacheDir("named_trunc");
+    const TraceCache cache(dir);
+    const CachedWorkload stored = makeWorkload();
+    cache.store("fact", stored);
+    const std::string entry = test::readFileBytes(
+        cache.entryPath("fact", stored.contentHash));
+    const std::size_t header_end =
+        headerChecksumOffset(kEntrySectionCount) + 8;
+    ASSERT_GT(entry.size(), 5000u);
+    const std::string cut = dir + "/cut.bltc";
+    for (const std::size_t length :
+         {header_end, header_end + 100, std::size_t{4096},
+          std::size_t{5000}, entry.size() / 2}) {
+        SCOPED_TRACE("cut at " + std::to_string(length));
+        test::writeFileBytes(cut, entry.substr(0, length));
+        CachedWorkload out;
+        std::string error;
+        MapFailure failure = MapFailure::None;
+        EXPECT_FALSE(
+            mapEntryFile(cut, std::nullopt, out, error, failure));
+        EXPECT_EQ(failure, MapFailure::Corrupt);
+        EXPECT_NE(error.find("truncated"), std::string::npos) << error;
+        EXPECT_EQ(out.mapped, nullptr);
+    }
     std::filesystem::remove_all(dir);
 }
 

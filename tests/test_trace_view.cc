@@ -131,6 +131,14 @@ expectSameResult(const predict::KernelReplayResult &mapped,
     EXPECT_EQ(mapped.hasMissRatio, owned.hasMissRatio) << what;
 }
 
+/** Walk @p view with @p kernel as its only consumer. */
+predict::KernelReplayResult
+walked(predict::ReplayKernel &kernel, const TraceView &view)
+{
+    predict::walkStream(view, {&kernel}, {});
+    return kernel.result();
+}
+
 TEST(TraceViewDifferential, MappedReplayIsBitIdenticalAcrossSuite)
 {
     const std::string dir =
@@ -174,12 +182,12 @@ TEST(TraceViewDifferential, MappedReplayIsBitIdenticalAcrossSuite)
         {
             predict::SbtbKernel a(btb);
             predict::SbtbKernel b(btb);
-            expectSameResult(a.run(mapped), b.run(owned), "sbtb");
+            expectSameResult(walked(a, mapped), walked(b, owned), "sbtb");
         }
         {
             predict::CbtbKernel a(btb, config.counter);
             predict::CbtbKernel b(btb, config.counter);
-            expectSameResult(a.run(mapped), b.run(owned), "cbtb");
+            expectSameResult(walked(a, mapped), walked(b, owned), "cbtb");
         }
         for (const predict::StaticKind kind :
              {predict::StaticKind::AlwaysTaken,
@@ -188,17 +196,17 @@ TEST(TraceViewDifferential, MappedReplayIsBitIdenticalAcrossSuite)
               predict::StaticKind::OpcodeBias}) {
             predict::StaticKernel a(kind);
             predict::StaticKernel b(kind);
-            expectSameResult(a.run(mapped), b.run(owned), "static");
+            expectSameResult(walked(a, mapped), walked(b, owned), "static");
         }
         {
             predict::FsKernel a(cold.likelyMap, owned.maxPc());
             predict::FsKernel b(cold.likelyMap, owned.maxPc());
-            expectSameResult(a.run(mapped), b.run(owned), "fs");
+            expectSameResult(walked(a, mapped), walked(b, owned), "fs");
         }
         {
             predict::GshareKernel a(predict::GshareConfig{});
             predict::GshareKernel b(predict::GshareConfig{});
-            expectSameResult(a.run(mapped), b.run(owned), "gshare");
+            expectSameResult(walked(a, mapped), walked(b, owned), "gshare");
         }
     }
     std::filesystem::remove_all(dir);

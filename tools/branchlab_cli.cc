@@ -243,7 +243,7 @@ cmdRecord(const std::string &name, const Options &options)
     std::string error;
     if (!trace::writeEntryFile(options.output, entry, error))
         blab_fatal("cannot write '", options.output, "': ", error);
-    std::cout << "wrote " << entry.stream.size() << " events to "
+    std::cout << "wrote " << entry.eventCount() << " events to "
               << options.output << "\n";
     return 0;
 }
