@@ -5,7 +5,8 @@
  * Times the full ten-benchmark suite under the record-once/
  * replay-many engine, serially and fanned across BRANCHLAB_JOBS worker
  * threads, then splits it into its two component phases (the VM
- * record pass and the predictor replay pass, timed separately) and
+ * record pass and the predictor replay pass, timed separately), times
+ * the profile fold alone over the same recorded streams, and
  * times a warm-cache suite run against a throwaway persistent trace
  * cache, where the record pass is skipped entirely.
  *
@@ -43,8 +44,10 @@
 #include "core/replay_kernel.hh"
 #include "obs/metrics.hh"
 #include "predict/assoc_buffer.hh"
+#include "predict/replay_kernels.hh"
 #include "predict/profile_predictor.hh"
 #include "predict/static_predictors.hh"
+#include "profile/profile.hh"
 #include "support/random.hh"
 #include "trace/cache.hh"
 
@@ -256,6 +259,41 @@ timeReplayPass(const std::vector<core::RecordedWorkload> &recorded,
 }
 
 /**
+ * The profile fold alone over pre-recorded streams, serially: per
+ * workload a fresh ProgramProfile, the whole stream folded through the
+ * stream walk, then one query, which builds the profile's maps --
+ * what Table 5 pays for its profile on a warm hit. @return best-of-N
+ * wall-clock seconds.
+ */
+double
+timeProfileFold(const std::vector<core::RecordedWorkload> &recorded,
+                unsigned repeat)
+{
+    std::cerr << "  profile fold (serial)...\n";
+    double best = 0.0;
+    for (unsigned r = 0; r < repeat; ++r) {
+        double seconds = 0.0;
+        std::size_t paths = 0;
+        {
+            ScopeTimer timer(&seconds);
+            for (const core::RecordedWorkload &workload : recorded) {
+                profile::ProgramProfile folded(*workload.program,
+                                               *workload.layout);
+                for (unsigned run = 0; run < workload.runs; ++run)
+                    folded.noteRun();
+                predict::walkStream(workload.traceView(), {}, {&folded});
+                paths += folded.allPathCounts().size();
+            }
+        }
+        if (r == 0 || seconds < best)
+            best = seconds;
+        std::cerr << "    " << formatFixed(seconds, 3) << " s (" << paths
+                  << " paths)\n";
+    }
+    return best;
+}
+
+/**
  * The telemetry overhead probe: the replay pass with collection
  * enabled vs compiled in but disabled.
  *
@@ -401,7 +439,8 @@ void
 writeJson(const std::string &path, unsigned jobs, unsigned runs_override,
           unsigned repeat, const TimedRun &replay_serial, const TimedRun &replay_parallel,
           double record_s, double replay_only_s,
-          double replay_fallback_s, double warm_cache_s,
+          double replay_fallback_s, double profile_fold_s,
+          double warm_cache_s,
           double warm_decode_s, double replay_enabled_s,
           double replay_disabled_s, double telemetry_overhead_pct,
           const trace::TraceCacheCounters &cache_counters,
@@ -428,11 +467,16 @@ writeJson(const std::string &path, unsigned jobs, unsigned runs_override,
        << "    \"replay_only_s\": " << replay_only_s << ",\n"
        << "    \"replay_kernel_s\": " << replay_only_s << ",\n"
        << "    \"replay_fallback_s\": " << replay_fallback_s << ",\n"
+       << "    \"profile_fold_s\": " << profile_fold_s << ",\n"
        << "    \"warm_cache_s\": " << warm_cache_s << ",\n"
        << "    \"warm_decode_s\": " << warm_decode_s << "\n  },\n"
        << "  \"speedup\": {\n"
        << "    \"kernel_vs_fallback\": "
        << replay_fallback_s / replay_only_s << ",\n"
+       // The fold of a stream against all seven fused kernels over
+       // it: CI fails when folding costs more than replaying.
+       << "    \"kernels_vs_fold\": "
+       << replay_only_s / profile_fold_s << ",\n"
        // warm_cache_vs_record compares like with like: record_s
        // times acquisition alone (the VM record pass), so its warm
        // counterpart is warm_decode_s (cache load alone), not the
@@ -583,6 +627,7 @@ main(int argc, char **argv)
         recorded, replay_serial_config, repeat, ReplayPath::Kernel);
     const double replay_fallback_s = timeReplayPass(
         recorded, replay_serial_config, repeat, ReplayPath::Fallback);
+    const double profile_fold_s = timeProfileFold(recorded, repeat);
     sample_rss("replay_phase_split");
     const std::uint64_t stream_set_bytes = streamSetBytes(recorded);
 
@@ -684,6 +729,8 @@ main(int argc, char **argv)
     table.addRow({"replay phase (virtual fallback)",
                   formatFixed(replay_fallback_s, 3),
                   speedup(replay_fallback_s)});
+    table.addRow({"profile fold", formatFixed(profile_fold_s, 3),
+                  speedup(profile_fold_s)});
     table.addRow({"warm-cache serial",
                   formatFixed(warm_cache.seconds, 3),
                   speedup(warm_cache.seconds)});
@@ -711,11 +758,14 @@ main(int argc, char **argv)
 
     std::cout << "Kernel vs fallback replay: "
               << formatFixed(replay_fallback_s / replay_only_s, 2)
-              << "x\n";
+              << "x\n"
+              << "Kernels vs profile fold: "
+              << formatFixed(replay_only_s / profile_fold_s, 2) << "x\n";
 
     writeJson(out_path, parallel_jobs, runs_override, repeat,
               replay_serial, replay_parallel, record_s, replay_only_s,
-              replay_fallback_s, warm_cache.seconds, warm_decode_s,
+              replay_fallback_s, profile_fold_s, warm_cache.seconds,
+              warm_decode_s,
               replay_enabled_s, replay_disabled_s,
               telemetry_overhead_pct, cache_counters, rss, lookup,
               mismatches);

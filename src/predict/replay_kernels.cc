@@ -5,6 +5,10 @@
 
 #include "predict/replay_kernels.hh"
 
+#include <chrono>
+
+#include "obs/metrics.hh"
+
 namespace branchlab::predict
 {
 
@@ -53,9 +57,14 @@ walkStream(const trace::TraceView &view,
            const std::vector<ReplayKernel *> &kernels,
            const std::vector<trace::TraceSink *> &sinks)
 {
+    using Clock = std::chrono::steady_clock;
     std::array<KernelEvent, kKernelBlockEvents> events;
     trace::TraceView::Cursor cursor = view.cursor();
     trace::TraceBlock block;
+    // The sinks' share of the walk, clocked once per block: it splits
+    // a fold riding the walk from the kernels' time.
+    const bool time_sinks = !sinks.empty() && obs::enabled();
+    Clock::duration sink_time{};
     while (cursor.next(block)) {
         // Kernels: one materialisation per block, then each kernel's
         // monomorphized loop over it while it is L1-resident. The
@@ -68,12 +77,24 @@ walkStream(const trace::TraceView &view,
         }
         // Sinks: every whole event, materialised once for all sinks.
         if (!sinks.empty()) {
+            const Clock::time_point start =
+                time_sinks ? Clock::now() : Clock::time_point{};
             for (std::size_t i = 0; i < block.count; ++i) {
                 const trace::BranchEvent event = block.event(i);
                 for (trace::TraceSink *sink : sinks)
                     sink->onBranch(event);
             }
+            if (time_sinks)
+                sink_time += Clock::now() - start;
         }
+    }
+    if (time_sinks) {
+        obs::Registry::global()
+            .span("engine.replay.sinks")
+            .record(static_cast<std::uint64_t>(
+                std::chrono::duration_cast<std::chrono::nanoseconds>(
+                    sink_time)
+                    .count()));
     }
 }
 

@@ -164,7 +164,9 @@ class ReplayKernel
  * mapped). Per block: materialise the kernel events once (only when
  * there are kernels), step every kernel over them, then hand every
  * sink each event. Consumers are independent, so each sees exactly
- * the stream in order, as if it had walked it alone.
+ * the stream in order, as if it had walked it alone. With telemetry
+ * on, the time spent in sinks is recorded as one
+ * `engine.replay.sinks` span per walk that has sinks.
  */
 void walkStream(const trace::TraceView &view,
                 const std::vector<ReplayKernel *> &kernels,

@@ -1,5 +1,7 @@
 #include "profile/profile.hh"
 
+#include <bit>
+
 #include "support/logging.hh"
 
 namespace branchlab::profile
@@ -24,34 +26,120 @@ BranchCounts::dominantTarget() const
     return best;
 }
 
-ProgramProfile::ProgramProfile(const ir::Program &program,
-                               const ir::Layout &layout)
-    : prog_(program), layout_(layout)
-{}
-
-void
-ProgramProfile::onBranch(const trace::BranchEvent &event)
+namespace
 {
-    BranchCounts &counts = counts_[event.pc];
+
+/** Count one event into a BranchCounts map entry. */
+void
+tallyInto(BranchCounts &counts, const trace::BranchEvent &event)
+{
     if (event.taken)
         ++counts.taken;
     else
         ++counts.notTaken;
     ++counts.nextCounts[event.nextPc];
-    if (prevPc_ != ir::kNoAddr) {
-        BranchCounts &path = pathCounts_[{event.pc, prevPc_}];
-        if (event.taken)
-            ++path.taken;
-        else
-            ++path.notTaken;
-        ++path.nextCounts[event.nextPc];
+}
+
+} // namespace
+
+void
+ProgramProfile::mergeInto(BranchCounts &counts, const FlatSlot &slot)
+{
+    counts.taken += slot.taken;
+    counts.notTaken += slot.notTaken;
+    for (int i = 0; i < 2; ++i) {
+        if (slot.nextCount[i] != 0)
+            counts.nextCounts[ir::kCodeBase + slot.next[i]] +=
+                slot.nextCount[i];
+    }
+}
+
+void
+ProgramProfile::FlatTable::grow()
+{
+    const std::vector<Cell> old = std::move(cells_);
+    cells_.assign(old.empty() ? 1024 : 2 * old.size(), Cell{});
+    shift_ = 64 - static_cast<unsigned>(std::countr_zero(cells_.size()));
+    for (const Cell &cell : old) {
+        if (cell.key == kEmpty)
+            continue;
+        std::size_t i = home(cell.key);
+        while (cells_[i].key != kEmpty)
+            i = (i + 1) & (cells_.size() - 1);
+        cells_[i] = cell;
+    }
+}
+
+ProgramProfile::ProgramProfile(const ir::Program &program,
+                               const ir::Layout &layout)
+    : prog_(program), layout_(layout),
+      // Offsets must pack two to a 64-bit key with the all-ones key
+      // left free; a larger image folds through the maps.
+      flatLimit_(layout.totalSize() < FlatSlot::kNoNext
+                     ? layout.totalSize()
+                     : 0),
+      slots_(flatLimit_)
+{}
+
+void
+ProgramProfile::onBranch(const trace::BranchEvent &event)
+{
+    // Unsigned wrap sends every address below kCodeBase (kNoAddr
+    // included) past the limit too.
+    const std::uint64_t pc = event.pc - ir::kCodeBase;
+    const std::uint64_t next = event.nextPc - ir::kCodeBase;
+    const std::uint64_t prev = prevPc_ - ir::kCodeBase;
+    if (pc < flatLimit_ && next < flatLimit_) {
+        const auto next32 = static_cast<std::uint32_t>(next);
+        tally(pc, event.taken, next32);
+        if (prev < flatLimit_) {
+            const std::uint64_t slot =
+                paths_.findOrInsert(packKey(pc, prev), slots_.size());
+            if (slot == slots_.size())
+                slots_.emplace_back();
+            tally(slot, event.taken, next32);
+        } else if (prevPc_ != ir::kNoAddr) {
+            tallyInto(pathCounts_[{event.pc, prevPc_}], event);
+        }
+    } else {
+        tallyInto(counts_[event.pc], event);
+        if (prevPc_ != ir::kNoAddr)
+            tallyInto(pathCounts_[{event.pc, prevPc_}], event);
     }
     prevPc_ = event.pc;
+}
+
+void
+ProgramProfile::buildMaps() const
+{
+    std::call_once(*built_, [this] {
+        // Each flat slot's map entry, so spilled next pcs find it.
+        std::vector<BranchCounts *> target(slots_.size(), nullptr);
+        for (std::uint64_t pc = 0; pc < flatLimit_; ++pc) {
+            const FlatSlot &slot = slots_[pc];
+            if (slot.taken + slot.notTaken == 0)
+                continue;
+            target[pc] = &counts_[ir::kCodeBase + pc];
+            mergeInto(*target[pc], slot);
+        }
+        paths_.forEach([&](std::uint64_t key, std::uint64_t index) {
+            target[index] = &pathCounts_[{ir::kCodeBase + (key >> 32),
+                                          ir::kCodeBase +
+                                              (key & 0xffffffffu)}];
+            mergeInto(*target[index], slots_[index]);
+        });
+        spill_.forEach([&](std::uint64_t key, std::uint64_t count) {
+            target[key >> 32]->nextCounts[ir::kCodeBase +
+                                          (key & 0xffffffffu)] += count;
+        });
+        flatLimit_ = 0;
+    });
 }
 
 const BranchCounts &
 ProgramProfile::branchCounts(Addr pc) const
 {
+    buildMaps();
     const auto it = counts_.find(pc);
     return it == counts_.end() ? zero_ : it->second;
 }
@@ -59,8 +147,16 @@ ProgramProfile::branchCounts(Addr pc) const
 const BranchCounts &
 ProgramProfile::pathCounts(Addr pc, Addr prevPc) const
 {
+    buildMaps();
     const auto it = pathCounts_.find({pc, prevPc});
     return it == pathCounts_.end() ? zero_ : it->second;
+}
+
+const std::map<std::pair<Addr, Addr>, BranchCounts> &
+ProgramProfile::allPathCounts() const
+{
+    buildMaps();
+    return pathCounts_;
 }
 
 Addr
@@ -126,6 +222,7 @@ ProgramProfile::outArcs(FuncId func, BlockId block) const
 predict::LikelyMap
 ProgramProfile::buildLikelyMap() const
 {
+    buildMaps();
     predict::LikelyMap map;
     map.reserve(counts_.size());
     for (const auto &[pc, counts] : counts_) {

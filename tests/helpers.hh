@@ -15,9 +15,11 @@
 #include "ir/builder.hh"
 #include "ir/layout.hh"
 #include "ir/verifier.hh"
+#include "predict/replay_kernels.hh"
 #include "support/le_codec.hh"
 #include "trace/format.hh"
 #include "trace/record.hh"
+#include "trace/soa.hh"
 #include "vm/machine.hh"
 
 namespace branchlab::test
@@ -91,6 +93,30 @@ runProgram(const ir::Program &prog, trace::TraceSink *sink = nullptr,
     if (!input.empty())
         machine.setInput(0, std::move(input));
     return machine.run();
+}
+
+/** A synthetic stream whose pcs exceed the flat-table bound, forcing
+ *  table-backed kernels onto the virtual fallback path. Its pcs also
+ *  lie outside every test program's layout. */
+inline trace::SoaTrace
+tallPcStream()
+{
+    trace::SoaTrace stream;
+    const ir::Addr base = predict::kMaxKernelPc;
+    for (std::size_t i = 0; i < 200; ++i) {
+        trace::BranchEvent event;
+        event.pc = base + 16 * (i % 8);
+        event.op = ir::Opcode::Beq;
+        event.conditional = true;
+        event.taken = (i * 7) % 3 != 0;
+        event.targetKnown = true;
+        event.targetAddr = base + 16 * ((i + 3) % 8);
+        event.fallthroughAddr = event.pc + 4;
+        event.nextPc =
+            event.taken ? event.targetAddr : event.fallthroughAddr;
+        stream.append(event);
+    }
+    return stream;
 }
 
 /** The whole file at @p path. */

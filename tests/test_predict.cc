@@ -425,8 +425,9 @@ TEST(AssocBuffer, StrategiesPickIdenticalVictimsExhaustively)
                                 << " policy "
                                 << policyName(policy) << " op " << op
                                 << " tag " << probe;
-                            if (a != nullptr)
+                            if (a != nullptr) {
                                 ASSERT_EQ(a->value, b->value);
+                            }
                         }
                     }
                 }

@@ -5,9 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <thread>
+
 #include "helpers.hh"
+#include "map_fold_oracle.hh"
 #include "profile/profile.hh"
 #include "profile/trace_select.hh"
+#include "trace/record.hh"
 #include "workloads/workload.hh"
 
 namespace branchlab::profile
@@ -151,6 +156,295 @@ TEST(ProgramProfile, UnexecutedBranchesHaveZeroCounts)
     const Profiled p = profileProgram(test::buildCountdown(1));
     const BranchCounts &counts = p.profile->branchCounts(0xdeadbeef);
     EXPECT_EQ(counts.executions(), 0u);
+}
+
+// ---------------------------------------------------------------------
+// The flat fold against the map-fold oracle.
+// ---------------------------------------------------------------------
+
+/** A flat profile and the map oracle, fed the same events. */
+struct FoldPair
+{
+    FoldPair(const ir::Program &program, const ir::Layout &layout)
+        : flat(program, layout), oracle(program, layout)
+    {}
+
+    void
+    onBranch(const trace::BranchEvent &event)
+    {
+        flat.onBranch(event);
+        oracle.onBranch(event);
+    }
+
+    void
+    noteRun()
+    {
+        flat.noteRun();
+        oracle.noteRun();
+    }
+
+    ProgramProfile flat;
+    test::MapFoldOracle oracle;
+};
+
+bool
+sameCounts(const BranchCounts &a, const BranchCounts &b)
+{
+    return a.taken == b.taken && a.notTaken == b.notTaken &&
+           a.nextCounts == b.nextCounts;
+}
+
+bool
+sameArcs(const std::vector<Arc> &a, const std::vector<Arc> &b)
+{
+    return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                      [](const Arc &x, const Arc &y) {
+                          return x.from == y.from && x.to == y.to &&
+                                 x.weight == y.weight;
+                      });
+}
+
+bool
+sameLikely(const predict::LikelyMap &a, const predict::LikelyMap &b)
+{
+    if (a.size() != b.size())
+        return false;
+    for (const auto &[pc, info] : a) {
+        const auto it = b.find(pc);
+        if (it == b.end() || it->second.likelyTaken != info.likelyTaken ||
+            it->second.dominantTarget != info.dominantTarget)
+            return false;
+    }
+    return true;
+}
+
+/** Every query of @p flat against the oracle: whole path map, every
+ *  pc the oracle or the layout knows, every block's arcs and weight,
+ *  and the likely map. */
+void
+expectFoldsAgree(const ProgramProfile &flat,
+                 const test::MapFoldOracle &oracle,
+                 const std::string &what)
+{
+    SCOPED_TRACE(what);
+    const auto &paths = flat.allPathCounts();
+    const auto &want_paths = oracle.allPathCounts();
+    ASSERT_EQ(paths.size(), want_paths.size());
+    auto want = want_paths.begin();
+    for (const auto &[key, counts] : paths) {
+        ASSERT_EQ(key, want->first);
+        ASSERT_TRUE(sameCounts(counts, want->second))
+            << "path " << key.first << " <- " << key.second;
+        EXPECT_TRUE(sameCounts(flat.pathCounts(key.first, key.second),
+                               want->second));
+        ++want;
+    }
+    for (const auto &[pc, counts] : oracle.allCounts())
+        ASSERT_TRUE(sameCounts(flat.branchCounts(pc), counts)) << pc;
+    const ir::Layout &layout = flat.layout();
+    for (ir::Addr pc = ir::kCodeBase; pc < layout.codeEnd(); ++pc) {
+        ASSERT_TRUE(
+            sameCounts(flat.branchCounts(pc), oracle.branchCounts(pc)))
+            << pc;
+    }
+    const ir::Program &program = flat.program();
+    for (ir::FuncId f = 0; f < program.numFunctions(); ++f) {
+        for (ir::BlockId b = 0; b < program.function(f).numBlocks(); ++b) {
+            EXPECT_EQ(flat.blockWeight(f, b), oracle.blockWeight(f, b));
+            EXPECT_TRUE(sameArcs(flat.outArcs(f, b), oracle.outArcs(f, b)))
+                << "func " << f << " block " << b;
+        }
+    }
+    EXPECT_TRUE(sameLikely(flat.buildLikelyMap(), oracle.likelyMap()));
+}
+
+/** Run @p workload's inputs into @p sink, noting each run first. */
+template <typename Sink>
+void
+runInputs(const ir::Program &prog, const ir::Layout &layout,
+          const std::vector<workloads::WorkloadInput> &inputs,
+          FoldPair &fold, Sink &sink)
+{
+    for (const workloads::WorkloadInput &input : inputs) {
+        fold.noteRun();
+        vm::Machine machine(prog, layout);
+        for (std::size_t chan = 0; chan < input.channels.size(); ++chan)
+            machine.setInput(static_cast<int>(chan), input.channels[chan]);
+        machine.setSink(&sink);
+        machine.run();
+    }
+}
+
+TEST(FlatFold, MatchesMapFoldOnEveryWorkload)
+{
+    Rng rng(11);
+    for (const workloads::Workload *workload :
+         workloads::allWorkloads()) {
+        const ir::Program prog = workload->buildProgram();
+        ir::verifyProgramOrDie(prog);
+        const ir::Layout layout(prog);
+        FoldPair fold(prog, layout);
+        trace::FanoutSink both;
+        both.addSink(&fold.flat);
+        both.addSink(&fold.oracle);
+        runInputs(prog, layout, workload->makeInputs(rng, 2), fold, both);
+        expectFoldsAgree(fold.flat, fold.oracle, workload->name());
+
+        // Events after the first query still count.
+        runInputs(prog, layout, workload->makeInputs(rng, 1), fold, both);
+        expectFoldsAgree(fold.flat, fold.oracle,
+                         workload->name() + " after a query");
+    }
+}
+
+TEST(FlatFold, SpillsThirdAndLaterNextPcs)
+{
+    // A Ret-like branch returning to five sites from two callers:
+    // three and more distinct next pcs per pc and per path.
+    const ir::Program prog = test::buildFactorial(3);
+    const ir::Layout layout(prog);
+    ASSERT_GT(layout.totalSize(), 8u);
+    FoldPair fold(prog, layout);
+    fold.noteRun();
+    const ir::Addr ret = ir::kCodeBase + 2;
+    const ir::Addr callers[] = {ir::kCodeBase, ir::kCodeBase + 1};
+    for (unsigned i = 0; i < 40; ++i) {
+        trace::BranchEvent call;
+        call.pc = callers[i % 2];
+        call.nextPc = ret;
+        call.op = Opcode::Call;
+        fold.onBranch(call);
+        trace::BranchEvent back;
+        back.pc = ret;
+        back.nextPc = ir::kCodeBase + 3 + (i * 7) % 5;
+        back.op = Opcode::Ret;
+        fold.onBranch(back);
+    }
+    EXPECT_EQ(fold.flat.branchCounts(ret).nextCounts.size(), 5u);
+    expectFoldsAgree(fold.flat, fold.oracle, "spill");
+}
+
+TEST(FlatFold, OutOfLayoutAndNoNextPcEventsUseTheMaps)
+{
+    const ir::Program prog = test::buildCountdown(3);
+    const ir::Layout layout(prog);
+    FoldPair fold(prog, layout);
+    fold.noteRun();
+    // Pcs far past the layout.
+    const trace::SoaTrace tall = test::tallPcStream();
+    for (std::size_t i = 0; i < tall.size(); ++i)
+        fold.onBranch(tall.event(i));
+    // An in-layout pc seen flat, with no next pc, and after an
+    // out-of-layout predecessor -- each a different fold route for
+    // the same pc and path.
+    const ir::Addr pc = ir::kCodeBase + 1;
+    trace::BranchEvent event;
+    event.pc = pc;
+    event.nextPc = ir::kCodeBase;
+    fold.onBranch(event);
+    event.nextPc = ir::kNoAddr;
+    fold.onBranch(event);
+    event.pc = 0xdeadbeef;
+    event.nextPc = pc;
+    fold.onBranch(event);
+    event.pc = pc;
+    event.nextPc = ir::kCodeBase;
+    fold.onBranch(event);
+    event.taken = false;
+    fold.onBranch(event);
+    EXPECT_EQ(fold.flat.branchCounts(pc).executions(), 4u);
+    expectFoldsAgree(fold.flat, fold.oracle, "out of layout");
+}
+
+TEST(FlatFold, RandomStreamsMatchBeforeAndAfterAQuery)
+{
+    // Seeded mix of in-layout, out-of-layout and kNoAddr pcs and next
+    // pcs, with run boundaries: every fold route, interleaved.
+    const ir::Program prog = test::buildFactorial(3);
+    const ir::Layout layout(prog);
+    for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+        Rng rng(seed);
+        FoldPair fold(prog, layout);
+        const auto pick = [&]() -> ir::Addr {
+            const std::uint64_t r = rng.nextBelow(20);
+            if (r == 0)
+                return ir::kNoAddr;
+            if (r == 1)
+                return layout.codeEnd() + rng.nextBelow(3);
+            if (r == 2)
+                return rng.nextBelow(ir::kCodeBase);
+            return ir::kCodeBase + rng.nextBelow(layout.totalSize());
+        };
+        const auto feed = [&](unsigned events) {
+            for (unsigned i = 0; i < events; ++i) {
+                if (rng.nextBelow(100) == 0)
+                    fold.noteRun();
+                trace::BranchEvent event;
+                event.pc = pick();
+                event.nextPc = pick();
+                event.taken = rng.nextBool();
+                fold.onBranch(event);
+            }
+        };
+        fold.noteRun();
+        feed(5000);
+        expectFoldsAgree(fold.flat, fold.oracle, "before a query");
+        feed(1000);
+        expectFoldsAgree(fold.flat, fold.oracle, "after a query");
+    }
+}
+
+TEST(FlatFold, ConcurrentConstQueriesOnAFreshFold)
+{
+    // Four readers race the first query, which builds the maps; each
+    // must see the whole fold (run under TSan in CI).
+    const workloads::Workload &workload = *workloads::allWorkloads()[0];
+    const ir::Program prog = workload.buildProgram();
+    ir::verifyProgramOrDie(prog);
+    const ir::Layout layout(prog);
+    FoldPair fold(prog, layout);
+    trace::FanoutSink both;
+    both.addSink(&fold.flat);
+    both.addSink(&fold.oracle);
+    Rng rng(5);
+    runInputs(prog, layout, workload.makeInputs(rng, 1), fold, both);
+
+    const ProgramProfile &flat = fold.flat;
+    struct Seen
+    {
+        std::size_t paths = 0;
+        std::uint64_t executions = 0;
+        std::size_t arcs = 0;
+        std::size_t likely = 0;
+    };
+    std::vector<Seen> seen(4);
+    std::vector<std::thread> readers;
+    for (Seen &out : seen) {
+        readers.emplace_back([&flat, &prog, &out] {
+            out.paths = flat.allPathCounts().size();
+            for (ir::Addr pc = ir::kCodeBase; pc < flat.layout().codeEnd();
+                 ++pc)
+                out.executions += flat.branchCounts(pc).executions();
+            for (ir::FuncId f = 0; f < prog.numFunctions(); ++f) {
+                for (ir::BlockId b = 0; b < prog.function(f).numBlocks();
+                     ++b)
+                    out.arcs += flat.outArcs(f, b).size();
+            }
+            out.likely = flat.buildLikelyMap().size();
+        });
+    }
+    for (std::thread &reader : readers)
+        reader.join();
+    std::uint64_t executions = 0;
+    for (const auto &[pc, counts] : fold.oracle.allCounts())
+        executions += counts.executions();
+    for (const Seen &out : seen) {
+        EXPECT_EQ(out.paths, fold.oracle.allPathCounts().size());
+        EXPECT_EQ(out.executions, executions);
+        EXPECT_EQ(out.arcs, seen[0].arcs);
+        EXPECT_EQ(out.likely, fold.oracle.allCounts().size());
+    }
+    expectFoldsAgree(flat, fold.oracle, workload.name());
 }
 
 // ---------------------------------------------------------------------

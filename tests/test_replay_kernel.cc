@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "core/replay_kernel.hh"
+#include "helpers.hh"
 #include "obs/metrics.hh"
 #include "predict/cbtb.hh"
 #include "predict/gshare.hh"
@@ -364,27 +365,24 @@ TEST(ReplayKernel, BatchReplayMatchesStandaloneReplays)
     }
 }
 
-/** A synthetic stream whose pcs exceed the flat-table bound, forcing
- *  table-backed kernels onto the virtual fallback path. */
-trace::SoaTrace
-tallPcStream()
+using test::tallPcStream;
+
+TEST(ReplayKernel, WalkTimesItsSinksAsOneSpan)
 {
-    trace::SoaTrace stream;
-    const ir::Addr base = predict::kMaxKernelPc;
-    for (std::size_t i = 0; i < 200; ++i) {
-        trace::BranchEvent event;
-        event.pc = base + 16 * (i % 8);
-        event.op = ir::Opcode::Beq;
-        event.conditional = true;
-        event.taken = (i * 7) % 3 != 0;
-        event.targetKnown = true;
-        event.targetAddr = base + 16 * ((i + 3) % 8);
-        event.fallthroughAddr = event.pc + 4;
-        event.nextPc =
-            event.taken ? event.targetAddr : event.fallthroughAddr;
-        stream.append(event);
-    }
-    return stream;
+    const trace::SoaTrace stream = tallPcStream();
+    const trace::TraceView view = trace::TraceView::of(stream);
+    const obs::SpanStat &sinks =
+        obs::Registry::global().span("engine.replay.sinks");
+    const std::uint64_t before = sinks.count();
+    predict::walkStream(view, {}, {});
+    EXPECT_EQ(sinks.count(), before) << "a walk without sinks";
+    trace::BranchRecorder recorder(stream.size());
+    predict::walkStream(view, {}, {&recorder});
+    EXPECT_EQ(sinks.count(), before + 1);
+    obs::setEnabled(false);
+    predict::walkStream(view, {}, {&recorder});
+    obs::setEnabled(true);
+    EXPECT_EQ(sinks.count(), before + 1) << "telemetry off";
 }
 
 TEST(ReplayKernel, TallPcStreamFallsBackAndStillMatches)
