@@ -4,14 +4,15 @@
  *
  * Runs a 180-point grid (BTB entries x associativity x replacement
  * policy x counter threshold x FS slots) over a three-workload subset
- * in three phases --
+ * in four phases, then over all ten workloads in a fifth --
  *
  *   1. cold:    empty journal and trace cache; every point replays
  *               and every workload records exactly once;
  *   2. resume:  the same sweep against the populated journal; every
  *               point must load (mapped from journal segments:
- *               sweep.journal.bytes_mapped must move), nothing may
- *               replay or record;
+ *               sweep.journal.bytes_mapped must move), and nothing may
+ *               be prepared: no record, no trace-cache hit, no
+ *               replay;
  *   3. partial: a fresh journal capped at half the grid, then the
  *               uncapped rerun that finishes it -- the rerun must
  *               resume exactly the capped half and evaluate the rest,
@@ -19,7 +20,12 @@
  *   4. journal10k: a synthetic 10,000-point journal stored through
  *               SweepJournal, then re-opened cold -- times the mmap
  *               resume path at a scale the real grid cannot reach in
- *               CI
+ *               CI;
+ *   5. resume10: the same grid over all ten workloads, cold (fresh
+ *               journal and trace cache) and then fully resumed --
+ *               the resume users see. Its resume must run no VM,
+ *               record nothing and hit no trace entry; `resume_s` is
+ *               its time and `resume10.speedup` the cold/resume ratio
  *
  * -- asserting the record-once invariant with the vm.runs telemetry
  * counter and the trace-cache hit/miss counters, and checking the
@@ -37,6 +43,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <unistd.h>
 
@@ -48,6 +55,7 @@
 #include "core/sweep_journal.hh"
 #include "obs/metrics.hh"
 #include "trace/cache.hh"
+#include "workloads/workload.hh"
 
 namespace
 {
@@ -66,7 +74,7 @@ makeTempDir(const std::string &stem)
 }
 
 core::SweepConfig
-benchSweep(unsigned runs, unsigned jobs)
+benchSweep(unsigned runs, unsigned jobs, std::vector<std::string> names)
 {
     core::SweepConfig config;
     config.axes.btbEntries = {16, 32, 64, 128, 256};
@@ -76,7 +84,7 @@ benchSweep(unsigned runs, unsigned jobs)
                                predict::ReplacementPolicy::Random};
     config.axes.counterThresholds = {1, 2};
     config.axes.fsSlots = {1, 2};
-    config.workloads = {"tee", "wc", "cmp"};
+    config.workloads = std::move(names);
     config.base.runsOverride = runs;
     config.base.jobs = jobs;
     return config;
@@ -167,7 +175,8 @@ main(int argc, char **argv)
 
     const std::string journal_dir = makeTempDir("blab-sweep-journal");
     const std::string cache_dir = makeTempDir("blab-sweep-cache");
-    core::SweepConfig config = benchSweep(runs, jobs);
+    core::SweepConfig config =
+        benchSweep(runs, jobs, {"tee", "wc", "cmp"});
     config.journalDir = journal_dir;
     config.base.traceCacheDir = cache_dir;
 
@@ -224,8 +233,12 @@ main(int argc, char **argv)
            "resumed sweep re-evaluated points");
     expect(resumed.stats.resumed == cold.points.size(),
            "resumed sweep loaded every point from the journal");
-    expect(resumed.stats.traceCacheHits == config.workloads.size(),
-           "resumed sweep hit the trace cache for every workload");
+    // Every point resolves from the journal before anything is
+    // prepared, so a full resume neither records nor maps a stream.
+    expect(resumed.stats.traceCacheHits == 0,
+           "resumed sweep mapped no trace-cache entry");
+    expect(resumed.stats.recordPasses == 0,
+           "resumed sweep recorded nothing");
     expect(resume_bytes_mapped > 0,
            "resumed sweep mapped journal segments "
            "(sweep.journal.bytes_mapped)");
@@ -292,6 +305,37 @@ main(int argc, char **argv)
     expect(big_loaded == k10kPoints,
            "10k-point journal resumed every point bit-identically");
 
+    // ---- Phase 5: the ten-workload grid, cold then fully resumed.
+    // ----
+    std::cerr << "ten-workload cold and resumed sweep...\n";
+    std::vector<std::string> all_names;
+    for (const workloads::Workload *workload : workloads::allWorkloads())
+        all_names.push_back(workload->name());
+    const std::string journal10_dir =
+        makeTempDir("blab-sweep-journal-10w");
+    const std::string cache10_dir = makeTempDir("blab-sweep-cache-10w");
+    core::SweepConfig config10 = benchSweep(runs, jobs, all_names);
+    config10.journalDir = journal10_dir;
+    config10.base.traceCacheDir = cache10_dir;
+    const core::SweepResult cold10 = core::runSweep(config10);
+    expect(cold10.stats.recordPasses == all_names.size(),
+           "ten-workload cold sweep recorded every workload");
+    const std::uint64_t vm_runs_before10 = vm_runs.value();
+    const core::SweepResult resumed10 = core::runSweep(config10);
+    const std::uint64_t resume10_vm_runs =
+        vm_runs.value() - vm_runs_before10;
+    expect(resumed10.stats.evaluated == 0 &&
+               resumed10.stats.resumed == cold10.points.size(),
+           "ten-workload resume loaded every point from the journal");
+    expect(resumed10.stats.recordPasses == 0 &&
+               resumed10.stats.traceCacheHits == 0 &&
+               resume10_vm_runs == 0,
+           "ten-workload resume prepared nothing");
+    expect(countGridMismatches(cold10, resumed10) == 0,
+           "ten-workload resumed grid bit-identical to its cold grid");
+    const double resume10_speedup = cold10.stats.elapsedSeconds /
+                                    resumed10.stats.elapsedSeconds;
+
     const double cold_pps =
         static_cast<double>(cold.stats.evaluated) /
         cold.stats.elapsedSeconds;
@@ -299,7 +343,11 @@ main(int argc, char **argv)
               << formatFixed(cold.stats.elapsedSeconds, 3) << " s ("
               << formatFixed(cold_pps, 1) << " points/s), resume in "
               << formatFixed(resumed.stats.elapsedSeconds, 3)
-              << " s\n";
+              << " s; ten workloads: cold "
+              << formatFixed(cold10.stats.elapsedSeconds, 3)
+              << " s, resume "
+              << formatFixed(resumed10.stats.elapsedSeconds, 3)
+              << " s (" << formatFixed(resume10_speedup, 1) << "x)\n";
 
     std::ostringstream json;
     json.precision(17);
@@ -321,7 +369,16 @@ main(int argc, char **argv)
          << ", \"trace_cache_hits\": "
          << resumed.stats.traceCacheHits
          << ", \"bytes_mapped\": " << resume_bytes_mapped << "},\n";
-    json << "  \"resume_s\": " << resumed.stats.elapsedSeconds
+    json << "  \"resume10\": {\"workloads\": " << all_names.size()
+         << ", \"grid_points\": " << cold10.points.size()
+         << ", \"cold_seconds\": " << cold10.stats.elapsedSeconds
+         << ", \"seconds\": " << resumed10.stats.elapsedSeconds
+         << ", \"speedup\": " << resume10_speedup
+         << ", \"record_passes\": " << resumed10.stats.recordPasses
+         << ", \"trace_cache_hits\": "
+         << resumed10.stats.traceCacheHits
+         << ", \"vm_runs\": " << resume10_vm_runs << "},\n";
+    json << "  \"resume_s\": " << resumed10.stats.elapsedSeconds
          << ",\n";
     json << "  \"partial\": {\"capped_evaluated\": "
          << partial.stats.evaluated
@@ -343,6 +400,8 @@ main(int argc, char **argv)
     std::filesystem::remove_all(partial_dir, ec);
     std::filesystem::remove_all(big_dir, ec);
     std::filesystem::remove_all(cache_dir, ec);
+    std::filesystem::remove_all(journal10_dir, ec);
+    std::filesystem::remove_all(cache10_dir, ec);
 
     if (failures != 0) {
         std::cerr << failures << " check(s) failed\n";

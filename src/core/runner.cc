@@ -252,7 +252,8 @@ workloadContentHash(const workloads::Workload &workload,
 
 RecordedWorkload
 recordWorkload(const workloads::Workload &workload,
-               const ExperimentConfig &config)
+               const ExperimentConfig &config,
+               std::optional<std::uint64_t> contentHash)
 {
     const obs::ScopedSpan span("engine.record");
     RecordedWorkload recorded;
@@ -271,8 +272,19 @@ recordWorkload(const workloads::Workload &workload,
         trace::TraceCache::resolveDir(config.traceCacheDir),
         resolveByteCap(config.traceCacheMaxBytes,
                        trace::kTraceCacheMaxBytesEnv));
-    recorded.contentHash = computeContentHash(
-        *recorded.program, *recorded.layout, inputs, config, runs);
+    if (contentHash) {
+        recorded.contentHash = *contentHash;
+#ifndef NDEBUG
+        blab_assert(computeContentHash(*recorded.program,
+                                       *recorded.layout, inputs, config,
+                                       runs) == *contentHash,
+                    "content hash handed to the record of '",
+                    recorded.name, "' is not its own");
+#endif
+    } else {
+        recorded.contentHash = computeContentHash(
+            *recorded.program, *recorded.layout, inputs, config, runs);
+    }
 
     if (cache.enabled()) {
         trace::CachedWorkload cached;

@@ -127,10 +127,16 @@ workloadContentHash(const workloads::Workload &workload,
  * BRANCHLAB_TRACE_CACHE environment variable) the cache is consulted
  * first: a hit reconstructs the RecordedWorkload bit-identically
  * without running the VM; a miss records and then persists the entry.
+ *
+ * A caller that already holds workloadContentHash(workload, config)
+ * passes it as @p contentHash and the record does not hash again
+ * (the sweep hashes every workload before it records any). Debug
+ * builds check it against the hash the record computes.
  */
 RecordedWorkload
 recordWorkload(const workloads::Workload &workload,
-               const ExperimentConfig &config = ExperimentConfig{});
+               const ExperimentConfig &config = ExperimentConfig{},
+               std::optional<std::uint64_t> contentHash = std::nullopt);
 
 /**
  * The trace-cache entry that describes @p recorded: its hash, runs,

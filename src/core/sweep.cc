@@ -398,66 +398,24 @@ runSweep(const SweepConfig &config)
     const std::vector<SweepPoint> grid = expandGrid(config.axes);
     blab_assert(!grid.empty(), "sweep grid is empty");
 
-    // The distinct (level, slots, threshold) triples the grid
-    // touches; the software-scheme measurements are point-independent
-    // beyond this triple, so each image is built once per workload
-    // rather than once per point.
-    std::vector<FsTriple> fs_triples;
-    for (const SweepPoint &point : grid) {
-        const FsTriple triple{point.fsOpt, point.fsSlots,
-                              point.traceThreshold};
-        if (std::find(fs_triples.begin(), fs_triples.end(), triple) ==
-            fs_triples.end()) {
-            fs_triples.push_back(triple);
-        }
-    }
-
     const unsigned jobs = resolveJobs(config.base.jobs);
 
-    // ---- Record each workload exactly once (or hit the persistent
-    // trace cache), then precompute every point-independent result.
-    // ----
-    std::vector<PreparedWorkload> prepared(suite.size());
+    // ---- Hash: a point's journal key needs only the workloads'
+    // content hashes, which cost no VM run and no trace mapping. ----
+    std::vector<std::uint64_t> stream_hashes(suite.size());
     {
-        const obs::ScopedSpan record_span("sweep.record");
+        const obs::ScopedSpan hash_span("sweep.hash");
         parallelFor(suite.size(), jobs, [&](std::size_t i) {
-            const obs::ScopedSpan prepare_span("sweep.prepare");
-            PreparedWorkload &slot = prepared[i];
-            slot.recorded = recordWorkload(*suite[i], config.base);
-
-            std::optional<profile::ProgramProfile> rebuilt;
-            const profile::ProgramProfile &profile =
-                resolveProfile(slot.recorded, rebuilt);
-            std::optional<double> kernel_accuracy;
-            for (const FsTriple &triple : fs_triples) {
-                const auto &[level, slots, threshold] = triple;
-                const auto [accuracy, code] =
-                    measureFs(slot.recorded, profile, level, slots,
-                              threshold, kernel_accuracy);
-                slot.fsAccuracy[triple] = accuracy;
-                slot.codeIncrease[triple] = code;
-            }
+            stream_hashes[i] = workloadContentHash(*suite[i], config.base);
         }, "sweep");
     }
-    for (const PreparedWorkload &slot : prepared) {
-        if (slot.recorded.cacheHit)
-            ++result.stats.traceCacheHits;
-        else
-            ++result.stats.recordPasses;
-    }
 
-    // ---- Resume: map the journal's segments once, resolve every
-    // journalled point from the index (grid order), then evaluate
-    // only the remainder. ----
+    // ---- Resolve: map the journal's segments once and serve every
+    // journalled point from the index (grid order). ----
     SweepJournal journal(config.journalDir,
                          resolveByteCap(config.journalMaxBytes,
                                         kJournalMaxBytesEnv));
     journal.open();
-    std::vector<std::uint64_t> stream_hashes;
-    stream_hashes.reserve(prepared.size());
-    for (const PreparedWorkload &slot : prepared)
-        stream_hashes.push_back(slot.recorded.contentHash);
-
     std::vector<std::uint64_t> keys(grid.size());
     std::vector<SweepPointResult> resolved(grid.size());
     std::vector<std::size_t> pending;
@@ -466,8 +424,7 @@ runSweep(const SweepConfig &config)
                                 stream_hashes);
         resolved[i].point = grid[i];
         std::vector<SweepCell> cells;
-        if (journal.load(keys[i], cells) &&
-            cells.size() == prepared.size()) {
+        if (journal.load(keys[i], cells) && cells.size() == suite.size()) {
             resolved[i].cells = std::move(cells);
             resolved[i].resumed = true;
             ++result.stats.resumed;
@@ -482,6 +439,55 @@ runSweep(const SweepConfig &config)
     // capped rerun always makes forward progress.
     if (config.maxPoints != 0 && pending.size() > config.maxPoints)
         pending.resize(config.maxPoints);
+
+    // The distinct (level, slots, threshold) triples the pending
+    // points touch; the software-scheme measurements are
+    // point-independent beyond this triple, so each image is built
+    // once per workload rather than once per point, and never for a
+    // triple only resumed points use.
+    std::vector<FsTriple> fs_triples;
+    for (const std::size_t g : pending) {
+        const FsTriple triple{grid[g].fsOpt, grid[g].fsSlots,
+                              grid[g].traceThreshold};
+        if (std::find(fs_triples.begin(), fs_triples.end(), triple) ==
+            fs_triples.end()) {
+            fs_triples.push_back(triple);
+        }
+    }
+
+    // ---- Prepare, only when something is pending: record each
+    // workload exactly once (or hit the persistent trace cache), then
+    // precompute its point-independent results. A full resume maps no
+    // stream and runs no VM. ----
+    std::vector<PreparedWorkload> prepared(suite.size());
+    if (!pending.empty()) {
+        const obs::ScopedSpan record_span("sweep.record");
+        parallelFor(suite.size(), jobs, [&](std::size_t i) {
+            const obs::ScopedSpan prepare_span("sweep.prepare");
+            PreparedWorkload &slot = prepared[i];
+            slot.recorded = recordWorkload(*suite[i], config.base,
+                                           stream_hashes[i]);
+
+            std::optional<profile::ProgramProfile> rebuilt;
+            const profile::ProgramProfile &profile =
+                resolveProfile(slot.recorded, rebuilt);
+            std::optional<double> kernel_accuracy;
+            for (const FsTriple &triple : fs_triples) {
+                const auto &[level, slots, threshold] = triple;
+                const auto [accuracy, code] =
+                    measureFs(slot.recorded, profile, level, slots,
+                              threshold, kernel_accuracy);
+                slot.fsAccuracy[triple] = accuracy;
+                slot.codeIncrease[triple] = code;
+            }
+        }, "sweep");
+        for (const PreparedWorkload &slot : prepared) {
+            if (slot.recorded.cacheHit)
+                ++result.stats.traceCacheHits;
+            else
+                ++result.stats.recordPasses;
+        }
+    }
 
     // The BTB replay depends only on a point's (btb, counter) pair;
     // the FS axes (slots, trace threshold) feed the point-independent

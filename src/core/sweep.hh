@@ -11,28 +11,43 @@
  * (entries not divisible by the associativity, thresholds outside the
  * counter range) with a warning rather than silently.
  *
- * Evaluation is record-once/replay-many taken to its limit: each
- * workload's branch stream is recorded exactly once (or served from
- * the persistent trace cache), every per-workload quantity that does
- * not depend on the point (FS accuracy, code growth per distinct
- * (slots, threshold) pair) is computed once up front, and then the
- * whole grid is sharded across the thread pool -- each point replays
- * the shared streams against its own freshly configured SBTB/CBTB.
- * The VM never re-executes; a 500-point sweep costs 500 replays, not
- * 500 suite runs.
+ * A sweep runs in three steps: hash, resolve, then prepare only what
+ * is pending.
+ *
+ *  1. Hash: each workload's content hash (core::workloadContentHash),
+ *     which builds the program and its inputs but runs no VM and maps
+ *     no trace.
+ *  2. Resolve: every point's journal key depends only on the point
+ *     and those hashes, so journalled points load before anything is
+ *     prepared. The SweepConfig::maxPoints cap then trims the pending
+ *     list.
+ *  3. Prepare and evaluate, only if a point is still pending:
+ *     record-once/replay-many taken to its limit. Each workload's
+ *     branch stream is recorded exactly once (or served from the
+ *     persistent trace cache), the FS measurements are computed once
+ *     per workload for each distinct (level, slots, threshold)
+ *     triple that a pending point uses, and the pending points are
+ *     sharded across the thread pool -- each replays the shared
+ *     streams against its own freshly configured SBTB/CBTB. The VM
+ *     never re-executes; a 500-point sweep costs 500 replays, not
+ *     500 suite runs.
+ *
+ * A full resume therefore runs no VM, maps no trace entry and does
+ * not need the trace cache at all.
  *
  * Resume: when SweepConfig::journalDir is set, every completed point
  * is persisted through the SweepJournal (core/sweep_journal.hh):
  * checksummed, feature-bit-versioned segments published through the
  * durable-directory layer (support/durable_dir.hh) and mmap'd back on
  * resume, keyed by a content hash of the point configuration AND the
- * recorded streams it was measured over. An interrupted sweep rerun with the same
- * journal reloads completed points bit-identically and evaluates only
- * the remainder; a changed seed, run count, workload set, or point
- * config changes the key, so a stale entry is never served.
+ * recorded streams it was measured over. An interrupted sweep rerun
+ * with the same journal reloads completed points bit-identically and
+ * evaluates only the remainder; a changed seed, run count, workload
+ * set, or point config changes the key, so a stale entry is never
+ * served.
  *
- * Telemetry: spans sweep.suite / sweep.record / sweep.prepare /
- * sweep.point, counters sweep.points.evaluated /
+ * Telemetry: spans sweep.suite / sweep.hash / sweep.record /
+ * sweep.prepare / sweep.point, counters sweep.points.evaluated /
  * sweep.points.resumed / sweep.replays, and the sweep.journal.*
  * family (see sweep_journal.hh).
  */
@@ -143,9 +158,11 @@ struct SweepStats
     std::size_t evaluated = 0;
     /** Points restored from the journal without replaying. */
     std::size_t resumed = 0;
-    /** VM record passes (cold workloads; cache hits excluded). */
+    /** VM record passes (cold workloads; cache hits excluded). Zero
+     *  when no point was pending: nothing is prepared then. */
     std::size_t recordPasses = 0;
-    /** Workload streams served by the persistent trace cache. */
+    /** Workload streams served by the persistent trace cache (zero on
+     *  a full resume, for the same reason). */
     std::size_t traceCacheHits = 0;
     /** Wall-clock seconds of the whole sweep. */
     double elapsedSeconds = 0.0;
@@ -171,11 +188,14 @@ struct SweepResult
 std::vector<SweepPoint> expandGrid(const SweepAxes &axes);
 
 /**
- * Run the sweep: record every workload once (or hit the trace cache),
- * precompute the point-independent per-workload results, then shard
- * the grid across resolveJobs(config.base.jobs) worker threads.
- * Results arrive in grid order regardless of the job count and are
- * bit-identical for any job count and across resumes.
+ * Run the sweep: hash, resolve, then prepare only what is pending.
+ * Hash every workload's content, resolve every point from the
+ * journal, cap the pending list at config.maxPoints, and only if
+ * that list is non-empty record every workload once (or hit the
+ * trace cache), precompute the FS triples the pending points use,
+ * and shard the pending points across resolveJobs(config.base.jobs)
+ * worker threads. Results arrive in grid order regardless of the job
+ * count and are bit-identical for any job count and across resumes.
  */
 SweepResult runSweep(const SweepConfig &config);
 

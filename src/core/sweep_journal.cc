@@ -109,6 +109,8 @@ struct SweepJournal::Segment
 {
     std::string path;
     std::unique_ptr<trace::MappedFile> file;
+    /** A load was served from this segment since the last flush. */
+    bool hit = false;
 };
 
 SweepJournal::SweepJournal() = default;
@@ -297,11 +299,9 @@ SweepJournal::load(std::uint64_t key, std::vector<SweepCell> &cells)
         for (std::uint32_t c = 0; c < it->second.count; ++c)
             cells.push_back(
                 decodeCell(it->second.cells + c * kJournalCellBytes));
-        // LRU touch: resuming from a segment makes it recently used.
-        std::error_code ec;
-        std::filesystem::last_write_time(
-            segments_[it->second.segment].path,
-            std::filesystem::file_time_type::clock::now(), ec);
+        // Resuming from a segment makes it recently used; flush()
+        // touches its mtime once, not once per hit.
+        segments_[it->second.segment].hit = true;
         return true;
     }
     return false;
@@ -395,7 +395,21 @@ SweepJournal::flush()
         return;
     const std::lock_guard<std::mutex> lock(mutex_);
     sealLocked();
+    touchHitSegmentsLocked();
     store_.enforceByteCap(maxBytes_, sealedPaths_, segmentRecords);
+}
+
+void
+SweepJournal::touchHitSegmentsLocked()
+{
+    const auto now = std::filesystem::file_time_type::clock::now();
+    for (Segment &segment : segments_) {
+        if (!segment.hit)
+            continue;
+        segment.hit = false;
+        std::error_code ec;
+        std::filesystem::last_write_time(segment.path, now, ec);
+    }
 }
 
 } // namespace branchlab::core

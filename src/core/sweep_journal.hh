@@ -26,7 +26,8 @@
  *    per-point format (`point-<key>.blsj`) are never read: their
  *    points simply re-evaluate.
  *  - `--sweep-journal-max-bytes` / BRANCHLAB_SWEEP_JOURNAL_MAX_BYTES
- *    cap the store; eviction is LRU by mtime with a cost-aware
+ *    cap the store; eviction is LRU by mtime (a segment's mtime is
+ *    touched once per flush in which a load hit it) with a cost-aware
  *    tie-break (fewer records per byte evict first) and never touches
  *    a segment sealed by this run.
  *
@@ -126,7 +127,9 @@ class SweepJournal
 
     /** Load the cells stored under @p key: points this run stored
      *  first, else the mapped segment index. False on miss (damaged
-     *  or foreign segments were already reported by open()). */
+     *  or foreign segments were already reported by open()). A hit
+     *  only marks its segment; the LRU mtime touch waits for
+     *  flush(). */
     bool load(std::uint64_t key, std::vector<SweepCell> &cells);
 
     /** Buffer @p cells under @p key; segments seal automatically when
@@ -134,9 +137,11 @@ class SweepJournal
      *  flush()/destruction. Thread-safe. */
     void store(std::uint64_t key, const std::vector<SweepCell> &cells);
 
-    /** Seal the pending tail (fsync + atomic rename) and enforce the
-     *  byte cap. Called by runSweep() after the grid completes and by
-     *  the destructor. */
+    /** Seal the pending tail (fsync + atomic rename), mark every
+     *  segment a load hit since the last flush as recently used, and
+     *  enforce the byte cap. Called by runSweep() after the grid
+     *  completes, by the daemon after each miss, and by the
+     *  destructor. */
     void flush();
 
     /** Mapped-segment observability for tests and the perf
@@ -151,6 +156,9 @@ class SweepJournal
     void mapSegmentsLocked();
     void indexSegmentLocked(std::size_t segment_index);
     void sealLocked();
+    /** Set the mtime of every segment a load hit since the last
+     *  flush: the byte cap's LRU order. */
+    void touchHitSegmentsLocked();
 
     mutable std::mutex mutex_;
     DurableDir store_;

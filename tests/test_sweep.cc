@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -15,6 +16,7 @@
 #include "core/sweep.hh"
 #include "obs/metrics.hh"
 #include "support/logging.hh"
+#include "trace/cache.hh"
 
 namespace branchlab::core
 {
@@ -43,6 +45,33 @@ quickSweep(const std::string &tag)
     config.base.runsOverride = 2;
     config.journalDir = makeJournalDir(tag);
     return config;
+}
+
+/** Every sealed journal segment under @p dir. */
+std::vector<std::filesystem::path>
+segmentFiles(const std::string &dir)
+{
+    std::vector<std::filesystem::path> paths;
+    for (const std::filesystem::directory_entry &entry :
+         std::filesystem::recursive_directory_iterator(dir)) {
+        if (entry.path().extension() == ".blsg")
+            paths.push_back(entry.path());
+    }
+    return paths;
+}
+
+/** Sum of every fs_opt.* counter: moves whenever an FS optimizer
+ *  image is built. */
+std::uint64_t
+fsOptCounterSum()
+{
+    std::uint64_t sum = 0;
+    for (const auto &[name, value] :
+         obs::Registry::global().snapshot().counters) {
+        if (name.rfind("fs_opt.", 0) == 0)
+            sum += value;
+    }
+    return sum;
 }
 
 TEST(SweepGrid, CrossesEveryAxis)
@@ -133,6 +162,51 @@ TEST(SweepJournal, RoundTripsCellsAcrossInstances)
     EXPECT_FALSE(reopened.load(43, loaded));
 }
 
+TEST(SweepJournal, ByteCapKeepsASegmentHitSinceTheLastFlush)
+{
+    namespace fs = std::filesystem;
+    const std::string dir = makeJournalDir("lru_touch");
+    const std::vector<SweepCell> cells = {{0.5, 0.25, 0.75, 0.125,
+                                           0.875, 0.1}};
+    const auto seal = [&](std::uint64_t key) {
+        SweepJournal journal(dir);
+        journal.store(key, cells);
+        journal.flush();
+    };
+    seal(1);
+    const std::vector<fs::path> first = segmentFiles(dir);
+    ASSERT_EQ(first.size(), 1u);
+    const fs::path older = first[0];
+    seal(2);
+    fs::path newer;
+    for (const fs::path &path : segmentFiles(dir)) {
+        if (path != older)
+            newer = path;
+    }
+    ASSERT_FALSE(newer.empty());
+
+    // Key 1's segment is the older of the two by mtime.
+    const auto now = fs::file_time_type::clock::now();
+    fs::last_write_time(older, now - std::chrono::hours(2));
+    fs::last_write_time(newer, now - std::chrono::hours(1));
+    const fs::file_time_type stale = fs::last_write_time(older);
+
+    // Three one-record segments do not fit under the cap; two do.
+    const std::uint64_t segment_bytes = fs::file_size(older);
+    SweepJournal journal(dir, 2 * segment_bytes + segment_bytes / 2);
+    std::vector<SweepCell> loaded;
+    ASSERT_TRUE(journal.load(1, loaded));
+    ASSERT_TRUE(journal.load(1, loaded));
+    // The hit is batched: no mtime write until the flush.
+    EXPECT_EQ(fs::last_write_time(older), stale);
+
+    journal.store(3, cells);
+    journal.flush();
+    EXPECT_TRUE(fs::exists(older));
+    EXPECT_GT(fs::last_write_time(older), stale);
+    EXPECT_FALSE(fs::exists(newer));
+}
+
 TEST(SweepJournal, DisabledJournalIsANoOp)
 {
     SweepJournal journal;
@@ -209,6 +283,119 @@ TEST(Sweep, MaxPointsInterruptsAndTheRerunFinishes)
     SweepConfig reference = quickSweep("cap_ref");
     const SweepResult uninterrupted = runSweep(reference);
     EXPECT_EQ(sweepToCsv(finished), sweepToCsv(uninterrupted));
+}
+
+TEST(Sweep, FullResumeTouchesNoStreamEvenWithoutTheTraceCache)
+{
+    SweepConfig config = quickSweep("full_resume");
+    config.workloads = {"tee", "cmp"};
+    config.axes.fsOptLevels = {profile::FsOptLevel::None,
+                               profile::FsOptLevel::Hoist};
+    const std::string cache_dir = makeJournalDir("full_resume_cache");
+    config.base.traceCacheDir = cache_dir;
+
+    const SweepResult cold = runSweep(config);
+    ASSERT_EQ(cold.stats.evaluated, 8u);
+    ASSERT_EQ(cold.stats.recordPasses, 2u);
+
+    // With the streams gone, anything that prepared a workload would
+    // have to run the VM again.
+    std::filesystem::remove_all(cache_dir);
+
+    obs::Registry &registry = obs::Registry::global();
+    const char *const prepare_spans[] = {
+        "sweep.prepare", "sweep.record", "engine.record",
+        "engine.profile", "engine.replay"};
+    std::vector<std::uint64_t> spans_before;
+    for (const char *name : prepare_spans)
+        spans_before.push_back(registry.span(name).count());
+    const std::uint64_t vm_runs_before =
+        registry.counter("vm.runs").value();
+    const trace::TraceCacheCounters cache_before =
+        trace::traceCacheCounters();
+
+    const SweepResult resumed = runSweep(config);
+
+    EXPECT_EQ(registry.counter("vm.runs").value(), vm_runs_before);
+    EXPECT_EQ(resumed.stats.recordPasses, 0u);
+    EXPECT_EQ(resumed.stats.traceCacheHits, 0u);
+    EXPECT_EQ(resumed.stats.evaluated, 0u);
+    EXPECT_EQ(resumed.stats.resumed, 8u);
+    for (std::size_t i = 0; i < std::size(prepare_spans); ++i) {
+        EXPECT_EQ(registry.span(prepare_spans[i]).count(),
+                  spans_before[i])
+            << prepare_spans[i];
+    }
+    const trace::TraceCacheCounters cache_after =
+        trace::traceCacheCounters();
+    EXPECT_EQ(cache_after.hits, cache_before.hits);
+    EXPECT_EQ(cache_after.misses, cache_before.misses);
+    EXPECT_FALSE(std::filesystem::exists(cache_dir));
+    EXPECT_EQ(sweepToCsv(resumed), sweepToCsv(cold));
+}
+
+TEST(Sweep, CappedResumePreparesOnlyThePendingFsTriples)
+{
+    // Grid order puts the FS level innermost: (64, none), (64, hoist),
+    // (256, none), (256, hoist).
+    SweepConfig config = quickSweep("cap_triples");
+    // wc's hoist image fills slots, so building it moves fs_opt.*.
+    config.workloads = {"wc"};
+    config.axes.counterThresholds = {2};
+    config.axes.fsOptLevels = {profile::FsOptLevel::None,
+                               profile::FsOptLevel::Hoist};
+    config.maxPoints = 1;
+
+    // Only (64, none) is pending after the cap; hoist images are for
+    // points the cap left out, so none may be built.
+    std::uint64_t fs_opt_before = fsOptCounterSum();
+    const SweepResult capped = runSweep(config);
+    EXPECT_EQ(fsOptCounterSum(), fs_opt_before);
+    EXPECT_EQ(capped.stats.evaluated, 1u);
+    ASSERT_EQ(capped.points.size(), 1u);
+    EXPECT_EQ(capped.points[0].point.fsOpt, profile::FsOptLevel::None);
+    // Every workload is still prepared for the pending point.
+    EXPECT_EQ(capped.stats.recordPasses + capped.stats.traceCacheHits,
+              config.workloads.size());
+
+    // The rerun has hoist points pending and does build their image.
+    config.maxPoints = 0;
+    fs_opt_before = fsOptCounterSum();
+    const SweepResult finished = runSweep(config);
+    EXPECT_GT(fsOptCounterSum(), fs_opt_before);
+    EXPECT_EQ(finished.stats.resumed, 1u);
+    EXPECT_EQ(finished.stats.evaluated, 3u);
+
+    SweepConfig reference = config;
+    reference.journalDir.clear();
+    EXPECT_EQ(sweepToCsv(finished), sweepToCsv(runSweep(reference)));
+}
+
+TEST(Sweep, JournalledPointWithTheWrongCellCountReEvaluates)
+{
+    SweepConfig config = quickSweep("cell_count");
+    config.workloads = {"tee", "cmp"};
+    const std::vector<SweepPoint> grid = expandGrid(config.axes);
+    std::vector<std::uint64_t> hashes;
+    for (const std::string &name : config.workloads) {
+        hashes.push_back(workloadContentHash(
+            workloads::findWorkload(name), config.base));
+    }
+    {
+        SweepJournal journal(config.journalDir);
+        journal.store(sweepPointKey(grid[0], config.workloads, hashes),
+                      {SweepCell{0.5, 0.5, 0.5, 0.5, 0.5, 0.5}});
+    }
+
+    const SweepResult result = runSweep(config);
+    EXPECT_EQ(result.stats.resumed, 0u);
+    EXPECT_EQ(result.stats.evaluated, grid.size());
+    ASSERT_EQ(result.points.size(), grid.size());
+    EXPECT_EQ(result.points[0].cells.size(), 2u);
+
+    SweepConfig reference = config;
+    reference.journalDir.clear();
+    EXPECT_EQ(sweepToCsv(result), sweepToCsv(runSweep(reference)));
 }
 
 TEST(Sweep, HundredPointGridRecordsEachWorkloadExactlyOnce)
